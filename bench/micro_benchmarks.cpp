@@ -1,4 +1,4 @@
-// Microbenchmarks of the hot paths: tensor primitives (fast vs reference
+// Microbenchmarks of the hot paths: tensor primitives (simd vs reference
 // conv kernels, blur, integral image, arena acquisition), RPN proposal
 // generation, ROI region extraction, weighted box fusion, the full branch
 // detector, gate inference, and a complete adaptive pass. These quantify
@@ -52,8 +52,8 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward);
 
-// Fast vs reference conv kernel on a stem-shaped workload (the ratio is the
-// interior/border split's payoff; equivalence is pinned bitwise in tests).
+// Simd vs reference conv kernel on a stem-shaped workload (equivalence is
+// pinned bitwise in tests).
 void conv_kernel_inputs(tensor::Tensor& input, tensor::Tensor& weight,
                         tensor::Tensor& bias, tensor::Conv2dSpec& spec) {
   util::Rng rng(11);
@@ -68,18 +68,6 @@ void conv_kernel_inputs(tensor::Tensor& input, tensor::Tensor& weight,
   for (auto& v : input.vec()) v = rng.uniform_f(0.0f, 1.0f);
   for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
 }
-
-void BM_Conv2dRowsFast(benchmark::State& state) {
-  tensor::Tensor input, weight, bias;
-  tensor::Conv2dSpec spec;
-  conv_kernel_inputs(input, weight, bias, spec);
-  tensor::Tensor out({8, 48, 48});
-  for (auto _ : state) {
-    tensor::conv2d_rows_fast(input, weight, bias, spec, 0, 48, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Conv2dRowsFast);
 
 void BM_Conv2dRowsReference(benchmark::State& state) {
   tensor::Tensor input, weight, bias;
@@ -105,33 +93,6 @@ void BM_Conv2dRowsSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dRowsSimd);
 
-// Tier-B conv: quantized weights from the process-wide plan cache, a
-// calibrated activation range (so the input's max|x| pass is skipped, as
-// in an engine-stamped spec), int8×int8 madd interior.
-void BM_Conv2dRowsInt8(benchmark::State& state) {
-  tensor::Tensor input, weight, bias;
-  tensor::Conv2dSpec spec;
-  conv_kernel_inputs(input, weight, bias, spec);
-  spec.act_range = 1.0f;
-  tensor::Tensor out({8, 48, 48});
-  for (auto _ : state) {
-    tensor::conv2d_rows_int8(input, weight, bias, spec, 0, 48, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Conv2dRowsInt8);
-
-void BM_BoxBlur3Fast(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
-  tensor::Tensor out;
-  for (auto _ : state) {
-    detect::box_blur3_into_fast(grid, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_BoxBlur3Fast);
-
 void BM_BoxBlur3Reference(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
   const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
@@ -154,16 +115,16 @@ void BM_BoxBlur3Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_BoxBlur3Simd);
 
-void BM_IntegralImageReset(benchmark::State& state) {
+void BM_IntegralImageResetReference(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
   const auto& grid = frame.grid(dataset::SensorKind::kLidar);
   detect::IntegralImage integral;
   for (auto _ : state) {
-    integral.reset(grid);
+    integral.reset(grid, tensor::Backend::kReference);
     benchmark::DoNotOptimize(integral.height());
   }
 }
-BENCHMARK(BM_IntegralImageReset);
+BENCHMARK(BM_IntegralImageResetReference);
 
 void BM_IntegralImageResetSimd(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
@@ -176,68 +137,22 @@ void BM_IntegralImageResetSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_IntegralImageResetSimd);
 
-// The int8 scan chain's stages on the same grid the float blur/integral
-// benches use: symmetric quantization, the 36×-scaled int16 blur, and the
-// int32 integral table.
-void BM_QuantizeGridInt8(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
-  std::vector<std::int16_t> q(grid.numel());
-  for (auto _ : state) {
-    detect::detail::quantize_grid_int8(grid.data(), grid.numel(), 127.0f,
-                                       q.data());
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-BENCHMARK(BM_QuantizeGridInt8);
-
-void BM_BoxBlur3Int8(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
-  const std::size_t h = grid.size(1), w = grid.size(2);
-  std::vector<std::int16_t> q(grid.numel()), blurred(grid.numel());
-  detect::detail::quantize_grid_int8(grid.data(), grid.numel(), 127.0f,
-                                     q.data());
-  for (auto _ : state) {
-    detect::detail::box_blur3_int8(q.data(), h, w, blurred.data());
-    benchmark::DoNotOptimize(blurred.data());
-  }
-}
-BENCHMARK(BM_BoxBlur3Int8);
-
-void BM_IntegralInt32(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kLidar);
-  const std::size_t h = grid.size(1), w = grid.size(2);
-  std::vector<std::int16_t> q(grid.numel()), blurred(grid.numel());
-  std::vector<std::int32_t> table((h + 1) * (w + 1));
-  detect::detail::quantize_grid_int8(grid.data(), grid.numel(), 127.0f,
-                                     q.data());
-  detect::detail::box_blur3_int8(q.data(), h, w, blurred.data());
-  for (auto _ : state) {
-    detect::detail::integral_int32(blurred.data(), h, w, table.data());
-    benchmark::DoNotOptimize(table.data());
-  }
-}
-BENCHMARK(BM_IntegralInt32);
-
 // The vectorized anchor-contrast sweep vs its scalar equivalent inside a
 // full proposal pass: one Rpn per backend over the same plan/scratch.
-// Arg: 0 = fast, 1 = simd, 2 = int8 (Tier B, grid-dynamic quantization).
+// Arg: 0 = reference, 1 = simd.
 void BM_RpnProposeBackend(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
   const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
   detect::RpnConfig config;
-  config.backend = state.range(0) == 2   ? tensor::Backend::kInt8
-                   : state.range(0) == 1 ? tensor::Backend::kSimd
-                                         : tensor::Backend::kFast;
+  config.backend = state.range(0) == 1 ? tensor::Backend::kSimd
+                                       : tensor::Backend::kReference;
   const detect::Rpn rpn(config);
   detect::ScanScratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rpn.propose(grid, &scratch));
   }
 }
-BENCHMARK(BM_RpnProposeBackend)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RpnProposeBackend)->Arg(0)->Arg(1);
 
 // Warmed-arena acquisition vs fresh tensor construction — the allocation
 // cost the per-slot FrameArena removes from every steady-state frame.

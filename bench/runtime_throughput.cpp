@@ -51,7 +51,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,7 +62,6 @@
 #include "dataset/sequence.hpp"
 #include "detect/rpn.hpp"
 #include "detect/scan_scratch.hpp"
-#include "exec/frame_arena.hpp"
 #include "gating/knowledge_gate.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -74,25 +72,11 @@
 #include "runtime/stream.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/plan_cache.hpp"
-#include "tensor/quant.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
-
-/// Per-backend bitwise self-gate result: the largest absolute difference
-/// any kernel produced against the reference implementation on a sampled
-/// frame. The determinism contract demands exact zeros; the deltas are
-/// recorded in the JSON so a violation shows its magnitude, not just a
-/// boolean.
-struct KernelDeltas {
-  double fast = 0.0;  // conv + blur, fast vs reference
-  double simd = 0.0;  // conv + blur + integral + anchor scoring, simd vs ref
-  [[nodiscard]] bool ok() const noexcept {
-    return fast == 0.0 && simd == 0.0;
-  }
-};
 
 double max_abs_delta(const eco::tensor::Tensor& a,
                      const eco::tensor::Tensor& b) {
@@ -105,14 +89,15 @@ double max_abs_delta(const eco::tensor::Tensor& a,
   return worst;
 }
 
-/// Self-gate: every non-reference kernel backend must agree bitwise with
-/// its reference implementation on a sampled frame — a stem-shaped conv
-/// over every sensor grid, the RPN blur, the integral image, and the
-/// vectorized anchor-contrast sweep. Runs regardless of
-/// ECO_REFERENCE_KERNELS (the backend entry points are called explicitly),
-/// so the reference-path CI smoke still verifies the code it is not
-/// otherwise executing.
-KernelDeltas kernel_deltas_vs_reference() {
+/// Self-gate: the simd kernels must agree bitwise with their reference
+/// implementations on a sampled frame — a stem-shaped conv over every
+/// sensor grid, the RPN blur, the integral image, and the vectorized
+/// anchor-contrast sweep. Returns the largest absolute difference (the
+/// contract demands exactly 0; the value is recorded so a violation shows
+/// its magnitude). Runs under any ECO_BACKEND (the kernels are called
+/// explicitly), so the reference-path CI smoke still verifies the code it
+/// is not otherwise executing.
+double simd_delta_vs_reference() {
   using namespace eco;
   dataset::DatasetConfig config;
   const dataset::Frame frame =
@@ -129,28 +114,21 @@ KernelDeltas kernel_deltas_vs_reference() {
   for (auto& v : weight.vec()) v = rng.uniform_f(-1.0f, 1.0f);
   for (auto& v : bias.vec()) v = rng.uniform_f(-0.1f, 0.1f);
 
-  KernelDeltas deltas;
+  double worst = 0.0;
   for (dataset::SensorKind kind : dataset::all_sensor_kinds()) {
     const tensor::Tensor& grid = frame.grid(kind);
     const std::size_t h = grid.size(1), w = grid.size(2);
     const std::size_t oh = spec.out_extent(h);
     const std::size_t ow = spec.out_extent(w);
-    tensor::Tensor fast({8, oh, ow}), simd({8, oh, ow});
-    tensor::Tensor reference({8, oh, ow});
-    tensor::conv2d_rows_fast(grid, weight, bias, spec, 0, oh, fast);
+    tensor::Tensor simd({8, oh, ow}), reference({8, oh, ow});
     tensor::conv2d_rows_simd(grid, weight, bias, spec, 0, oh, simd);
     tensor::conv2d_rows_reference(grid, weight, bias, spec, 0, oh, reference);
-    deltas.fast = std::max(deltas.fast, max_abs_delta(fast, reference));
-    deltas.simd = std::max(deltas.simd, max_abs_delta(simd, reference));
+    worst = std::max(worst, max_abs_delta(simd, reference));
 
-    tensor::Tensor blur_fast, blur_simd, blur_reference;
-    detect::box_blur3_into_fast(grid, blur_fast);
+    tensor::Tensor blur_simd, blur_reference;
     detect::box_blur3_into_simd(grid, blur_simd);
     detect::box_blur3_into_reference(grid, blur_reference);
-    deltas.fast =
-        std::max(deltas.fast, max_abs_delta(blur_fast, blur_reference));
-    deltas.simd =
-        std::max(deltas.simd, max_abs_delta(blur_simd, blur_reference));
+    worst = std::max(worst, max_abs_delta(blur_simd, blur_reference));
 
     // Integral image: simd's two-pass build vs the reference single walk.
     detect::IntegralImage ref_ii, simd_ii;
@@ -158,8 +136,8 @@ KernelDeltas kernel_deltas_vs_reference() {
     simd_ii.reset(blur_reference, tensor::Backend::kSimd);
     const std::size_t cells = (h + 1) * (w + 1);
     for (std::size_t i = 0; i < cells; ++i) {
-      const double d = std::fabs(ref_ii.table()[i] - simd_ii.table()[i]);
-      if (d > deltas.simd) deltas.simd = d;
+      worst =
+          std::max(worst, std::fabs(ref_ii.table()[i] - simd_ii.table()[i]));
     }
 
     // Anchor scoring: the vectorized contrast sweep vs the scalar chain
@@ -185,186 +163,17 @@ KernelDeltas kernel_deltas_vs_reference() {
       const double ring_area = g.ring_area;
       const double background =
           ring_area > 0.0 ? (ring_sum - inner_sum) / ring_area : 0.0;
-      const double d = std::fabs((inside - background) - simd_contrast[i]);
-      if (d > deltas.simd) deltas.simd = d;
-    }
-  }
-  return deltas;
-}
-
-/// Measured Tier-B approximation error: the largest absolute contrast
-/// difference between the quantized scan chain (quantize → int blur →
-/// int32 integral → reciprocal-area contrast) and the float reference
-/// chain, over every sensor grid of a sampled frame at the engine's
-/// calibrated activation range. Unlike the Tier-A deltas this is nonzero
-/// by design — it is recorded so the accuracy envelope has a kernel-level
-/// counterpart, never gated to zero.
-double int8_chain_delta_vs_reference(float act_range) {
-  using namespace eco;
-  dataset::DatasetConfig config;
-  const dataset::Frame frame =
-      dataset::generate_frame(dataset::SceneType::kSnow, config, 1234);
-  double worst = 0.0;
-  for (dataset::SensorKind kind : dataset::all_sensor_kinds()) {
-    const tensor::Tensor& grid = frame.grid(kind);
-    const std::size_t h = grid.size(1), w = grid.size(2);
-    const std::size_t n = h * w;
-
-    // Float oracle: reference blur + integral + the scalar contrast walk.
-    tensor::Tensor blur_reference;
-    detect::box_blur3_into_reference(grid, blur_reference);
-    detect::IntegralImage ref_ii;
-    ref_ii.reset(blur_reference, tensor::Backend::kReference);
-
-    // Quantized chain, exactly as the int8 scan stages it (the calibrated
-    // range wins; a zero range falls back to the grid's own max|cell|).
-    const float range =
-        act_range > 0.0f ? act_range : tensor::max_abs(grid.data(), n);
-    const float inv_scale = tensor::inverse_scale(range);
-    const float scale = tensor::symmetric_scale(range);
-    std::vector<std::int16_t> quantized(n), blurred(n);
-    std::vector<std::int32_t> table((h + 1) * (w + 1));
-    detect::detail::quantize_grid_int8(grid.data(), n, inv_scale,
-                                       quantized.data());
-    detect::detail::box_blur3_int8(quantized.data(), h, w, blurred.data());
-    detect::detail::integral_int32(blurred.data(), h, w, table.data());
-
-    const detect::ScanPlan plan =
-        detect::build_scan_plan({h, w, detect::RpnConfig{}});
-    std::vector<double> int8_contrast(plan.geometry.size());
-    detect::detail::anchor_contrast_pass_int8(
-        table.data(), plan.geometry.data(), plan.geometry.size(),
-        static_cast<double>(scale) / 36.0, int8_contrast.data());
-    for (std::size_t i = 0; i < plan.geometry.size(); ++i) {
-      const detect::AnchorGeometry& g = plan.geometry[i];
-      const double inner_sum =
-          g.inner_valid
-              ? ref_ii.flat_sum(g.inner00, g.inner01, g.inner10, g.inner11)
-              : 0.0;
-      const double ring_sum =
-          g.ring_valid
-              ? ref_ii.flat_sum(g.ring00, g.ring01, g.ring10, g.ring11)
-              : 0.0;
-      const double inside =
-          g.inner_area > 0.0f ? inner_sum / g.inner_area : 0.0;
-      const double ring_area = g.ring_area;
-      const double background =
-          ring_area > 0.0 ? (ring_sum - inner_sum) / ring_area : 0.0;
-      const double d = std::fabs((inside - background) - int8_contrast[i]);
-      if (d > worst) worst = d;
+      worst = std::max(worst,
+                       std::fabs((inside - background) - simd_contrast[i]));
     }
   }
   return worst;
-}
-
-/// Scan-bound frames/s of the RPN kernel chain — the stages the backend
-/// seam swaps (blur → integral → contrast on simd; quantize → integer
-/// blur → int32 integral → reciprocal-area contrast on int8) — over every
-/// sensor grid of a sampled frame. This is where the int8 speedup floor
-/// is measured: the full pipeline is select/fuse/NMS-bound on one core
-/// (the scan is a small Amdahl share), so end-to-end fps cannot resolve a
-/// kernel-level speedup; the downstream candidate/emit/NMS flow is the
-/// same float code on both backends and is excluded from both sides. The
-/// two chains run interleaved inside every rep and the per-side minimum
-/// over all reps is kept, so a noise burst on a shared host lands on both
-/// sides or neither.
-struct ScanFps {
-  double simd = 0.0;
-  double int8 = 0.0;
-};
-
-ScanFps measure_scan_fps(float act_range) {
-  using namespace eco;
-  using Clock = std::chrono::steady_clock;
-  dataset::DatasetConfig config;
-  const dataset::Frame frame =
-      dataset::generate_frame(dataset::SceneType::kSnow, config, 1234);
-  struct GridWork {
-    const tensor::Tensor* grid = nullptr;
-    std::size_t h = 0, w = 0;
-    detect::ScanPlan plan;
-    float range = 0.0f;
-  };
-  std::vector<GridWork> work;
-  for (dataset::SensorKind kind : dataset::all_sensor_kinds()) {
-    GridWork g;
-    g.grid = &frame.grid(kind);
-    g.h = g.grid->size(1);
-    g.w = g.grid->size(2);
-    g.plan = detect::build_scan_plan({g.h, g.w, detect::RpnConfig{}});
-    g.range = act_range > 0.0f
-                  ? act_range
-                  : tensor::max_abs(g.grid->data(), g.grid->numel());
-    work.push_back(std::move(g));
-  }
-  detect::ScanScratch si, ss;
-  const auto chain_simd = [&] {
-    for (const GridWork& g : work) {
-      detect::box_blur3_into(*g.grid, ss.smoothed, tensor::Backend::kSimd);
-      ss.integral.reset(ss.smoothed, tensor::Backend::kSimd);
-      ss.contrast.resize(g.plan.geometry.size());
-      detect::detail::anchor_contrast_pass_simd(
-          ss.integral.table(), g.plan.geometry.data(), g.plan.geometry.size(),
-          ss.contrast.data());
-    }
-  };
-  const auto chain_int8 = [&] {
-    for (const GridWork& g : work) {
-      const std::size_t n = g.h * g.w;
-      si.quantized.resize(n);
-      si.blurred_q.resize(n);
-      si.integral_q.resize((g.h + 1) * (g.w + 1));
-      si.contrast.resize(g.plan.geometry.size());
-      detect::detail::quantize_grid_int8(g.grid->data(), n,
-                                         tensor::inverse_scale(g.range),
-                                         si.quantized.data());
-      detect::detail::box_blur3_int8(si.quantized.data(), g.h, g.w,
-                                     si.blurred_q.data());
-      detect::detail::integral_int32(si.blurred_q.data(), g.h, g.w,
-                                     si.integral_q.data());
-      detect::detail::anchor_contrast_pass_int8(
-          si.integral_q.data(), g.plan,
-          static_cast<double>(tensor::symmetric_scale(g.range)) / 36.0,
-          si.contrast.data());
-    }
-  };
-  chain_simd();
-  chain_int8();  // warm buffers + plans before timing
-  constexpr int kIters = 40;
-  constexpr int kReps = 50;
-  double best_simd_us = std::numeric_limits<double>::max();
-  double best_int8_us = std::numeric_limits<double>::max();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kIters; ++i) chain_simd();
-    const auto t1 = Clock::now();
-    for (int i = 0; i < kIters; ++i) chain_int8();
-    const auto t2 = Clock::now();
-    const double us_simd =
-        std::chrono::duration<double, std::micro>(t1 - t0).count() / kIters;
-    const double us_int8 =
-        std::chrono::duration<double, std::micro>(t2 - t1).count() / kIters;
-    if (us_simd < best_simd_us) best_simd_us = us_simd;
-    if (us_int8 < best_int8_us) best_int8_us = us_int8;
-  }
-  ScanFps fps;
-  fps.simd = best_simd_us > 0.0 ? 1e6 / best_simd_us : 0.0;
-  fps.int8 = best_int8_us > 0.0 ? 1e6 / best_int8_us : 0.0;
-  return fps;
 }
 
 /// Control-window size used by every sweep below; the steady-state
 /// zero-alloc gate derives its warm-up cutoff from this (slot arenas warm
 /// during window 0).
 constexpr std::size_t kBenchWindow = 16;
-
-/// Tier-B accuracy envelope vs the Tier-A (fp32) oracle, re-verified every
-/// run: mAP within half a point, mean loss within 2% relative. Modeled
-/// J/frame and latency are gated to EXACT equality instead — on this stream
-/// the Knowledge gate selects configurations without consulting features,
-/// so quantization cannot legally move the energy/latency aggregates.
-constexpr double kInt8MapEnvelope = 0.005;
-constexpr double kInt8LossEnvelope = 0.02;
 
 /// p50/p95/p99 of one histogram, pulled from a run's metrics registry.
 struct Pcts {
@@ -552,43 +361,6 @@ struct ObsSummary {
   std::string trace_path;    // empty when no file was written
 };
 
-/// Tier-B summary: the int8 backend's self-determinism gates (one engine
-/// configuration must produce bit-identical reports across worker counts,
-/// shard counts, and the scheduler toggles), its accuracy envelope against
-/// the Tier-A oracle, the measured speedup over the simd backend, and the
-/// quantization-error profile of a sampled frame.
-struct Int8Summary {
-  bool kernels_vectorized = false;  // int8 SIMD dispatch compiled in
-  double fps = 0.0;                 // pinned int8 engine, 4 workers
-  double scan_fps_simd = 0.0;       // scan-chain frames/s, simd kernels
-  double scan_fps_int8 = 0.0;       // scan-chain frames/s, int8 kernels
-  double speedup_vs_simd = 0.0;     // scan_fps_int8 / scan_fps_simd
-  double e2e_fps_ratio = 0.0;       // end-to-end fps / pinned-simd fps
-                                    // (Amdahl-bound, recorded not gated)
-  bool workers_bitwise = false;     // 1- and 2-worker runs match 4-worker
-  bool steal_off_bitwise = false;   // ECO_STEAL=0 equivalent run matches
-  bool pipeline_off_bitwise = false;  // window depth 1 run matches
-  bool shards_bitwise = false;      // 2-shard merged aggregates == 1-shard
-  double map_delta = 0.0;           // |int8 − tier A| mAP (fraction, not %)
-  double loss_delta = 0.0;          // |int8 − tier A| mean loss
-  bool map_envelope_ok = false;     // map_delta ≤ kInt8MapEnvelope
-  bool loss_envelope_ok = false;    // loss_delta within relative envelope
-  bool energy_latency_exact = false;  // modeled J + ms bitwise equal tier A
-  bool speedup_ok = false;          // ≥ the ECO_INT8_MIN_SPEEDUP floor
-  float act_range = 0.0f;           // calibrated activation range
-  std::uint64_t calib_seed = 0;     // calibration stream seed
-  std::size_t calib_frames = 0;     // calibration frames per scene
-  double chain_delta = 0.0;         // sampled-frame contrast error vs fp32
-  Pcts quant_abs_err;               // per-cell |x − x̂| on a sampled frame
-  double quant_err_max = 0.0;
-  std::size_t quant_scratch_bytes = 0;  // int8 stage buffers, one slot
-  [[nodiscard]] bool gates_ok() const noexcept {
-    return workers_bitwise && steal_off_bitwise && pipeline_off_bitwise &&
-           shards_bitwise && map_envelope_ok && loss_envelope_ok &&
-           energy_latency_exact && speedup_ok;
-  }
-};
-
 /// The traced and untraced runs must agree on every field the determinism
 /// contract covers: headline aggregates, exec counters, and the per-window
 /// λ traces. Wall-clock fields are deliberately excluded.
@@ -658,7 +430,7 @@ bool write_json(const char* path, const eco::runtime::PipelineReport& report,
                 const std::vector<BackendRow>& backend_rows,
                 const eco::detect::ScanPlanCacheStats& plan_stats,
                 bool plan_cache_ok, const SchedSummary& sched,
-                const Int8Summary& int8, const IngestSummary& ingest) {
+                const IngestSummary& ingest) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "error: cannot write %s\n", path);
@@ -727,58 +499,6 @@ bool write_json(const char* path, const eco::runtime::PipelineReport& report,
                  i + 1 < backend_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Tier-B block: the int8 backend's self-determinism gates, accuracy
-  // envelope vs the fp32 oracle, and the quantization profile. Deltas here
-  // are bounded, not zero — the Tier-A zero contract lives in "backends".
-  std::fprintf(f, "  \"int8\": {\n");
-  std::fprintf(f, "    \"kernels_vectorized\": %s,\n",
-               int8.kernels_vectorized ? "true" : "false");
-  std::fprintf(f, "    \"frames_per_second\": %.2f,\n", int8.fps);
-  std::fprintf(f, "    \"e2e_fps_ratio_vs_simd\": %.4f,\n",
-               int8.e2e_fps_ratio);
-  std::fprintf(f, "    \"scan_fps_simd\": %.1f,\n", int8.scan_fps_simd);
-  std::fprintf(f, "    \"scan_fps_int8\": %.1f,\n", int8.scan_fps_int8);
-  // The gated ratio: speedup_ok is keyed to the scan-chain comparison (the
-  // kernels the backend seam actually swaps), never to the Amdahl-bound
-  // e2e ratio above.
-  std::fprintf(f, "    \"scan_fps_ratio_vs_simd\": %.4f,\n",
-               int8.speedup_vs_simd);
-  std::fprintf(f, "    \"speedup_ok\": %s,\n",
-               int8.speedup_ok ? "true" : "false");
-  std::fprintf(f, "    \"workers_bitwise\": %s,\n",
-               int8.workers_bitwise ? "true" : "false");
-  std::fprintf(f, "    \"steal_off_bitwise\": %s,\n",
-               int8.steal_off_bitwise ? "true" : "false");
-  std::fprintf(f, "    \"pipeline_off_bitwise\": %s,\n",
-               int8.pipeline_off_bitwise ? "true" : "false");
-  std::fprintf(f, "    \"shards_bitwise\": %s,\n",
-               int8.shards_bitwise ? "true" : "false");
-  std::fprintf(f, "    \"map_delta_vs_tier_a\": %.9g,\n", int8.map_delta);
-  std::fprintf(f, "    \"map_envelope\": %.9g,\n", kInt8MapEnvelope);
-  std::fprintf(f, "    \"map_envelope_ok\": %s,\n",
-               int8.map_envelope_ok ? "true" : "false");
-  std::fprintf(f, "    \"loss_delta_vs_tier_a\": %.9g,\n", int8.loss_delta);
-  std::fprintf(f, "    \"loss_envelope_ok\": %s,\n",
-               int8.loss_envelope_ok ? "true" : "false");
-  std::fprintf(f, "    \"energy_latency_exact\": %s,\n",
-               int8.energy_latency_exact ? "true" : "false");
-  std::fprintf(f, "    \"act_range\": %.9g,\n",
-               static_cast<double>(int8.act_range));
-  std::fprintf(f, "    \"calibration_seed\": %llu,\n",
-               static_cast<unsigned long long>(int8.calib_seed));
-  std::fprintf(f, "    \"calibration_frames_per_scene\": %zu,\n",
-               int8.calib_frames);
-  std::fprintf(f, "    \"chain_max_abs_delta\": %.9g,\n", int8.chain_delta);
-  std::fprintf(f, "    \"quant_abs_err_p50\": %.9g,\n",
-               int8.quant_abs_err.p50);
-  std::fprintf(f, "    \"quant_abs_err_p95\": %.9g,\n",
-               int8.quant_abs_err.p95);
-  std::fprintf(f, "    \"quant_abs_err_p99\": %.9g,\n",
-               int8.quant_abs_err.p99);
-  std::fprintf(f, "    \"quant_abs_err_max\": %.9g,\n", int8.quant_err_max);
-  std::fprintf(f, "    \"quant_scratch_bytes\": %zu\n",
-               int8.quant_scratch_bytes);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"plan_cache\": {\"plans\": %zu, \"hits\": %zu, "
                "\"misses\": %zu, \"cross_shard_reuse_ok\": %s},\n",
                plan_stats.plans, plan_stats.hits, plan_stats.misses,
@@ -1380,28 +1100,16 @@ int main(int argc, char** argv) {
       ingest_summary.shards_prefetch_bitwise ? "matches" : "DIVERGES");
 
   // ---- Explicit-backend sweep -------------------------------------------
-  // One 4-worker run per pinned backend on the identical stream. Tier-A
-  // backends (reference/fast/simd) must be bitwise equal to the Tier-A
-  // baseline: the environment-selected sweep's run when the environment
-  // picked a Tier-A backend, else (ECO_BACKEND=int8) the pinned reference
-  // row's own report. The int8 row is Tier B: its report must match the
-  // env run only when the environment itself selected int8 (self-
-  // determinism across engine constructions); its delta column records the
-  // measured quantization error, nonzero by design and never zero-gated.
+  // One 4-worker run per pinned backend on the identical stream. Both
+  // backends must reproduce the environment-selected sweep's report
+  // bitwise; the delta column is the sampled-frame kernel self-gate.
   std::vector<BackendRow> backend_rows;
-  const KernelDeltas kernel_deltas = kernel_deltas_vs_reference();
-  const tensor::Backend env_backend = engine.config().backend;
-  runtime::PipelineReport tier_a_baseline_report;
-  runtime::PipelineReport int8_report;
-  double simd_fps = 0.0;
-  double int8_chain_delta = 0.0;
-  float int8_act_range = 0.0f;
+  const double simd_delta = simd_delta_vs_reference();
   {
     util::Table backend_table(
-        {"Backend", "Tier", "Frames/s", "max|delta| vs ref", "Report =="});
+        {"Backend", "Frames/s", "max|delta| vs ref", "Report =="});
     for (tensor::Backend backend :
-         {tensor::Backend::kReference, tensor::Backend::kFast,
-          tensor::Backend::kSimd, tensor::Backend::kInt8}) {
+         {tensor::Backend::kReference, tensor::Backend::kSimd}) {
       core::EngineConfig engine_config;
       engine_config.backend = backend;
       const core::EcoFusionEngine backend_engine(engine_config);
@@ -1418,228 +1126,25 @@ int main(int argc, char** argv) {
                 backend_engine.default_knowledge_table(),
                 backend_engine.config_space().size());
           });
-      const bool tier_b = backend == tensor::Backend::kInt8;
-      if (backend == tensor::Backend::kReference) {
-        tier_a_baseline_report = report;
-      }
-      if (backend == tensor::Backend::kSimd) {
-        simd_fps = report.frames_per_second;
-      }
       BackendRow row;
       row.backend = backend;
       row.frames_per_second = report.frames_per_second;
-      if (tier_b) {
-        int8_report = report;
-        int8_act_range = backend_engine.config().stem.act_range;
-        int8_chain_delta = int8_chain_delta_vs_reference(int8_act_range);
-        row.max_abs_delta_vs_reference = int8_chain_delta;
-        row.report_bitwise =
-            env_backend == tensor::Backend::kInt8
-                ? reports_bitwise_equal(report, four_worker_report)
-                : true;  // Tier-B self-gates run in the int8 block below
-      } else {
-        row.max_abs_delta_vs_reference =
-            backend == tensor::Backend::kFast   ? kernel_deltas.fast
-            : backend == tensor::Backend::kSimd ? kernel_deltas.simd
-                                                : 0.0;
-        const runtime::PipelineReport& baseline =
-            env_backend == tensor::Backend::kInt8 ? tier_a_baseline_report
-                                                  : four_worker_report;
-        row.report_bitwise = reports_bitwise_equal(report, baseline);
-      }
+      row.max_abs_delta_vs_reference =
+          backend == tensor::Backend::kSimd ? simd_delta : 0.0;
+      row.report_bitwise = reports_bitwise_equal(report, four_worker_report);
       backend_rows.push_back(row);
       backend_table.add_row({tensor::backend_name(backend),
-                             tier_b ? "B" : "A",
                              util::fmt(row.frames_per_second, 1),
                              util::fmt(row.max_abs_delta_vs_reference, 9),
                              row.report_bitwise ? "yes" : "NO"});
     }
     std::printf("Kernel backends at 4 workers (explicit EngineConfig.backend; "
-                "Tier A bitwise equal\nby contract, int8 held to its "
-                "accuracy envelope below):\n%s\n",
+                "bitwise equal by contract):\n%s\n",
                 backend_table.render().c_str());
   }
   bool backends_invariant = true;
   for (const BackendRow& row : backend_rows) {
     backends_invariant = backends_invariant && row.report_bitwise;
-  }
-
-  // ---- Int8 (Tier B) self-determinism + accuracy-envelope gates ---------
-  // The Tier-B contract, verified end to end every run: ONE int8 engine
-  // configuration must be bitwise self-deterministic across worker counts,
-  // shard counts, and the scheduler toggles (the same invariances Tier A
-  // proves, applied to the quantized path), while tracking the fp32 oracle
-  // inside the accuracy envelope. Modeled J/latency must match the oracle
-  // EXACTLY on this stream — the Knowledge gate never consults features, so
-  // config selection (and with it the energy/latency model) cannot move;
-  // only the detection-derived aggregates (loss, mAP) may drift, and those
-  // are bounded.
-  Int8Summary int8_summary;
-  {
-    core::EngineConfig int8_config;
-    int8_config.backend = tensor::Backend::kInt8;
-    const core::EcoFusionEngine int8_engine(int8_config);
-    int8_summary.kernels_vectorized = tensor::int8_kernels_compiled();
-    int8_summary.act_range = int8_engine.config().stem.act_range;
-    int8_summary.calib_seed = int8_engine.config().quant.seed;
-    int8_summary.calib_frames = int8_engine.config().quant.frames_per_scene;
-    int8_summary.chain_delta = int8_chain_delta;
-    int8_summary.fps = int8_report.frames_per_second;
-    int8_summary.e2e_fps_ratio =
-        simd_fps > 0.0 ? int8_report.frames_per_second / simd_fps : 0.0;
-    // The speedup floor is measured scan-bound (see measure_scan_fps):
-    // the pipeline spends most of a frame in select/fuse/NMS, which no
-    // kernel backend touches, so end-to-end fps is recorded but the gate
-    // compares the kernel chains the seam actually swaps.
-    const ScanFps scan_fps = measure_scan_fps(int8_summary.act_range);
-    int8_summary.scan_fps_simd = scan_fps.simd;
-    int8_summary.scan_fps_int8 = scan_fps.int8;
-    int8_summary.speedup_vs_simd =
-        scan_fps.simd > 0.0 ? scan_fps.int8 / scan_fps.simd : 0.0;
-
-    const auto run_int8 = [&](std::size_t workers, bool steal,
-                              bool pipelined) {
-      runtime::PipelineConfig config;
-      config.workers = workers;
-      config.window = kBenchWindow;
-      config.share_channel_scans = share_enabled;
-      config.tracing = trace_enabled;
-      config.steal = steal;
-      config.pipeline_windows = pipelined;
-      runtime::StreamingPipeline pipeline(int8_engine, config);
-      runtime::FrameStream stream(stream_config);
-      return pipeline.run(stream, [&int8_engine] {
-        return std::make_unique<gating::KnowledgeGate>(
-            int8_engine.default_knowledge_table(),
-            int8_engine.config_space().size());
-      });
-    };
-    // The sweep's int8 row (4 workers, both toggles on) is the baseline;
-    // every reshaped run must reproduce it bit for bit. Note this also
-    // crosses engine constructions: int8_report came from a different
-    // engine instance, so calibration + weight quantization are being held
-    // to bitwise repeatability too.
-    int8_summary.workers_bitwise =
-        reports_bitwise_equal(run_int8(1, true, true), int8_report) &&
-        reports_bitwise_equal(run_int8(2, true, true), int8_report);
-    int8_summary.steal_off_bitwise =
-        reports_bitwise_equal(run_int8(4, false, true), int8_report);
-    int8_summary.pipeline_off_bitwise =
-        reports_bitwise_equal(run_int8(4, true, false), int8_report);
-
-    const auto run_int8_shards = [&](std::size_t shards) {
-      runtime::ShardedConfig config;
-      config.shards = shards;
-      config.engine = int8_config;
-      config.pipeline.workers = 4;
-      config.pipeline.window = kBenchWindow;
-      config.pipeline.share_channel_scans = share_enabled;
-      config.pipeline.tracing = trace_enabled;
-      runtime::ShardedPipeline pipeline(config);
-      return pipeline.run(stream_config, shard_gate_factory).merged;
-    };
-    const runtime::PipelineReport int8_one_shard = run_int8_shards(1);
-    const runtime::PipelineReport int8_two_shard = run_int8_shards(2);
-    int8_summary.shards_bitwise =
-        int8_one_shard.mean_energy_j == int8_two_shard.mean_energy_j &&
-        int8_one_shard.mean_latency_ms == int8_two_shard.mean_latency_ms &&
-        int8_one_shard.mean_loss == int8_two_shard.mean_loss &&
-        int8_one_shard.map == int8_two_shard.map &&
-        int8_one_shard.total_detections == int8_two_shard.total_detections &&
-        int8_one_shard.map == int8_report.map &&
-        int8_one_shard.mean_loss == int8_report.mean_loss;
-
-    int8_summary.map_delta =
-        std::fabs(int8_report.map - tier_a_baseline_report.map);
-    int8_summary.loss_delta =
-        std::fabs(int8_report.mean_loss - tier_a_baseline_report.mean_loss);
-    int8_summary.map_envelope_ok = int8_summary.map_delta <= kInt8MapEnvelope;
-    int8_summary.loss_envelope_ok =
-        int8_summary.loss_delta <=
-        kInt8LossEnvelope *
-            std::max(std::fabs(tier_a_baseline_report.mean_loss), 1e-9);
-    int8_summary.energy_latency_exact =
-        int8_report.frames == tier_a_baseline_report.frames &&
-        int8_report.mean_energy_j == tier_a_baseline_report.mean_energy_j &&
-        int8_report.mean_latency_ms == tier_a_baseline_report.mean_latency_ms;
-
-    // Speedup floor: ≥ 1.15x over the pinned simd backend at equal
-    // settings by default; ECO_INT8_MIN_SPEEDUP overrides (0 disables, for
-    // hosts whose scan shapes defeat the integer chain's advantage).
-    const double speedup_floor =
-        util::env_double_or("ECO_INT8_MIN_SPEEDUP", 1.15);
-    int8_summary.speedup_ok =
-        speedup_floor <= 0.0 ||
-        int8_summary.speedup_vs_simd >= speedup_floor;
-
-    // Quantization-error profile of a sampled frame at the calibrated
-    // range: per-cell |x − dequant(quantize(x))| over every sensor grid,
-    // recorded through the obs histogram (deterministic bucketing, exact
-    // merge) so the JSON carries p50/p95/p99. The expected ceiling is half
-    // a quantization step, scale/2 = act_range/254.
-    obs::MetricsRegistry quant_metrics;
-    obs::Histogram& err_hist = quant_metrics.histogram("quant/abs_error");
-    {
-      dataset::DatasetConfig sample_config;
-      const dataset::Frame sample = dataset::generate_frame(
-          dataset::SceneType::kSnow, sample_config, 1234);
-      const float inv_scale = tensor::inverse_scale(int8_summary.act_range);
-      const float scale = tensor::symmetric_scale(int8_summary.act_range);
-      for (dataset::SensorKind kind : dataset::all_sensor_kinds()) {
-        const tensor::Tensor& grid = sample.grid(kind);
-        for (std::size_t i = 0; i < grid.numel(); ++i) {
-          const float x = grid.data()[i];
-          const float xhat =
-              static_cast<float>(tensor::quantize_value(x, inv_scale)) *
-              scale;
-          err_hist.record(std::fabs(static_cast<double>(x) -
-                                    static_cast<double>(xhat)));
-        }
-      }
-      int8_summary.quant_abs_err = pcts_of(quant_metrics, "quant/abs_error");
-      int8_summary.quant_err_max = err_hist.max();
-
-      // The int8 stage buffers' footprint in one slot arena: run one
-      // quantized scan through a FrameArena exactly as a pipeline slot
-      // would (Tier-A runs report 0 here).
-      exec::FrameArena arena;
-      detect::RpnConfig scan_config;
-      scan_config.backend = tensor::Backend::kInt8;
-      scan_config.act_range = int8_summary.act_range;
-      const detect::Rpn int8_rpn(scan_config);
-      (void)int8_rpn.propose(sample.grid(dataset::all_sensor_kinds()[0]),
-                             &arena.scan);
-      int8_summary.quant_scratch_bytes = arena.quant_bytes_high_water();
-    }
-
-    std::printf(
-        "Int8 (Tier B): %.1f fps at 4 workers (%.2fx e2e, Amdahl-bound); "
-        "scan chain %.0f vs %.0f frames/s = %.2fx vs simd (floor "
-        "%.2fx%s); self-deterministic across workers %s, steal-off %s, "
-        "pipeline-off %s, shards %s.\n",
-        int8_summary.fps, int8_summary.e2e_fps_ratio,
-        int8_summary.scan_fps_int8, int8_summary.scan_fps_simd,
-        int8_summary.speedup_vs_simd, speedup_floor,
-        speedup_floor <= 0.0 ? ", disabled" : "",
-        int8_summary.workers_bitwise ? "yes" : "NO",
-        int8_summary.steal_off_bitwise ? "yes" : "NO",
-        int8_summary.pipeline_off_bitwise ? "yes" : "NO",
-        int8_summary.shards_bitwise ? "yes" : "NO");
-    std::printf(
-        "Int8 accuracy envelope vs fp32 oracle: |mAP delta| %.6f (cap "
-        "%.3f) %s, |loss delta| %.6f %s, modeled J/latency %s; act_range "
-        "%.6f (seed %llu, %zu frames/scene), quant err p99 %.3g (max "
-        "%.3g), scan chain max|delta| %.3g, %zu quant scratch bytes.\n\n",
-        int8_summary.map_delta, kInt8MapEnvelope,
-        int8_summary.map_envelope_ok ? "ok" : "EXCEEDED",
-        int8_summary.loss_delta,
-        int8_summary.loss_envelope_ok ? "ok" : "EXCEEDED",
-        int8_summary.energy_latency_exact ? "exact" : "DIVERGED",
-        static_cast<double>(int8_summary.act_range),
-        static_cast<unsigned long long>(int8_summary.calib_seed),
-        int8_summary.calib_frames, int8_summary.quant_abs_err.p99,
-        int8_summary.quant_err_max, int8_summary.chain_delta,
-        int8_summary.quant_scratch_bytes);
   }
 
   std::printf("Exec layer: %zu branch runs over %zu frames (%zu/%zu "
@@ -1787,20 +1292,17 @@ int main(int argc, char** argv) {
   obs::RunManifest manifest;
   manifest.tool = "runtime_throughput";
   manifest.capture_env({"ECO_TRACE", "ECO_TRACE_PATH", "ECO_TRACE_CAPACITY",
-                        "ECO_CHANNEL_SHARE", "ECO_REFERENCE_KERNELS",
-                        "ECO_SIMD", "ECO_BACKEND", "ECO_BASELINE_FPS",
-                        "ECO_STEAL", "ECO_PIPELINE_WINDOWS",
-                        "ECO_INT8_MIN_SPEEDUP", "ECO_PREFETCH",
+                        "ECO_CHANNEL_SHARE", "ECO_BACKEND",
+                        "ECO_BASELINE_FPS", "ECO_STEAL",
+                        "ECO_PIPELINE_WINDOWS", "ECO_PREFETCH",
                         "ECO_INGEST_MIN_SPEEDUP"});
   // CPU-feature probes ride in the env block alongside the toggles: they
   // describe the execution environment a bench artifact actually ran on
-  // (which dispatch widths the simd/int8 kernels could take).
+  // (which dispatch widths the simd kernels could take).
   manifest.env.emplace_back("cpu_has_avx2",
                             tensor::cpu_has_avx2() ? "1" : "0");
   manifest.env.emplace_back("simd_kernels_compiled",
                             tensor::simd_kernels_compiled() ? "1" : "0");
-  manifest.env.emplace_back("int8_kernels_compiled",
-                            tensor::int8_kernels_compiled() ? "1" : "0");
   manifest.params = {
       {"frames_per_sequence", std::to_string(frames_per_sequence)},
       {"sequences_per_scene",
@@ -1811,13 +1313,6 @@ int main(int argc, char** argv) {
       {"prefetch_depth", std::to_string(ingest_summary.prefetch_depth)},
       {"hardware_threads", std::to_string(hw)},
       {"json_path", json_path},
-      // Tier-B calibration parameters: the activation range the int8 engine
-      // resolved plus the deterministic stream it was computed over.
-      {"int8_act_range",
-       std::to_string(static_cast<double>(int8_summary.act_range))},
-      {"int8_calibration_seed", std::to_string(int8_summary.calib_seed)},
-      {"int8_calibration_frames_per_scene",
-       std::to_string(int8_summary.calib_frames)},
   };
   for (const runtime::ControlSlice& slice : manifest_slices) {
     manifest.shard_control.push_back(
@@ -1859,13 +1354,6 @@ int main(int argc, char** argv) {
       {"ingest_blocked_ns", static_cast<double>(ingest_summary.blocked_ns)},
       {"ingest_render_scratch_allocs",
        static_cast<double>(ingest_summary.scratch_allocs)},
-      {"int8_fps", int8_summary.fps},
-      {"int8_scan_fps_ratio_vs_simd", int8_summary.speedup_vs_simd},
-      {"int8_e2e_fps_ratio_vs_simd", int8_summary.e2e_fps_ratio},
-      {"int8_map_delta_vs_tier_a", int8_summary.map_delta},
-      {"int8_loss_delta_vs_tier_a", int8_summary.loss_delta},
-      {"int8_quant_abs_err_p99", int8_summary.quant_abs_err.p99},
-      {"int8_chain_max_abs_delta", int8_summary.chain_delta},
   };
   const std::string manifest_path = manifest_path_for(json_path);
   const std::string manifest_json = manifest.to_json();
@@ -1880,13 +1368,13 @@ int main(int argc, char** argv) {
       write_json(json_path, last_report, frames_per_sequence, rows, shard_rows,
                  share_enabled, share_invariant, modeled_p, wall_p,
                  manifest_slices, obs_summary, backend_rows, plan_stats,
-                 plan_cache_ok, sched_summary, int8_summary, ingest_summary);
+                 plan_cache_ok, sched_summary, ingest_summary);
   const bool bench_json_valid = wrote && obs::json_valid(read_file(json_path));
   if (wrote && !bench_json_valid) {
     std::fprintf(stderr, "error: %s is not valid JSON\n", json_path);
   }
   // The bench is its own gate: a merged-report or sharing invariance
-  // violation, a fast-vs-reference kernel mismatch, a steady-state frame
+  // violation, a simd-vs-reference kernel mismatch, a steady-state frame
   // that still heap-allocates tensors, a tracing-induced divergence, an
   // invalid artifact, or a lost artifact must fail the run, not depend on
   // downstream grepping.
@@ -1904,32 +1392,17 @@ int main(int argc, char** argv) {
                  "error: channel-scan sharing not bitwise invariant (or no "
                  "dedup on the ensemble-bearing stream)\n");
   }
-  const bool kernels_ok = kernel_deltas.ok();
+  const bool kernels_ok = simd_delta == 0.0;
   if (!kernels_ok) {
     std::fprintf(stderr,
-                 "error: kernel backends diverge bitwise from the reference "
-                 "implementations on the sampled frame (max|delta| fast "
-                 "%.9g, simd %.9g)\n",
-                 kernel_deltas.fast, kernel_deltas.simd);
+                 "error: simd kernels diverge bitwise from the reference "
+                 "implementations on the sampled frame (max|delta| %.9g)\n",
+                 simd_delta);
   }
   if (!backends_invariant) {
     std::fprintf(stderr,
-                 "error: an explicit-backend run diverges bitwise from its "
-                 "tier's baseline run\n");
-  }
-  const bool int8_ok = int8_summary.gates_ok();
-  if (!int8_ok) {
-    std::fprintf(stderr,
-                 "error: int8 Tier-B gate failed (self-determinism "
-                 "divergence, accuracy envelope exceeded, modeled J/latency "
-                 "drift, or speedup below the floor)\n");
-    if (!int8_summary.speedup_ok) {
-      std::fprintf(stderr,
-                   "error: int8 scan-chain speedup %.4fx vs simd is below "
-                   "the ECO_INT8_MIN_SPEEDUP floor (e2e ratio %.4fx is "
-                   "recorded, never gated)\n",
-                   int8_summary.speedup_vs_simd, int8_summary.e2e_fps_ratio);
-    }
+                 "error: an explicit-backend run diverges bitwise from the "
+                 "environment-selected run\n");
   }
   const bool ingest_ok = ingest_summary.gates_ok();
   if (!ingest_ok) {
@@ -1968,7 +1441,7 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  std::printf("Kernel self-gate: fast+simd conv/blur/integral/scoring %s "
+  std::printf("Kernel self-gate: simd conv/blur/integral/scoring %s "
               "reference bitwise; "
               "%zu tensor allocs over %zu frames (%zu zero-alloc frames, "
               "arena high water %zu bytes).\n",
@@ -1995,7 +1468,7 @@ int main(int argc, char** argv) {
   }
   tracer.uninstall();
   return (all_invariant && share_invariant && kernels_ok &&
-          backends_invariant && int8_ok && ingest_ok && plan_cache_ok &&
+          backends_invariant && ingest_ok && plan_cache_ok &&
           sched_ok && steady_state_zero_allocs &&
           wrote && bench_json_valid && obs_summary.traced_invariant &&
           obs_summary.zero_spans_when_off && obs_summary.trace_valid &&

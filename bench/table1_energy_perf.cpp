@@ -7,7 +7,8 @@
 // Paper reference values: C_L 74.48% / 0.945 J / 21.57 ms ... EcoFusion
 // λ=0.01 84.32% / 1.533 J / 35.14 ms. We reproduce the *shape* (ranking,
 // energy ratios, real-time bound), not the absolute mAP level (the
-// substrate is a synthetic-sensor simulator; see EXPERIMENTS.md).
+// substrate is a synthetic-sensor simulator; see the README's "Paper
+// reproductions" section).
 #include <cstdio>
 
 #include "harness.hpp"

@@ -65,16 +65,12 @@ std::vector<detect::ClassPrototype> channel_prototypes(
 }
 
 detect::BranchConfig make_branch_config(BranchId branch,
-                                        tensor::Backend backend,
-                                        float act_range) {
+                                        tensor::Backend backend) {
   detect::BranchConfig config;
   config.name = branch_name(branch);
   const auto inputs = branch_inputs(branch);
   config.input_count = inputs.size();
   config.rpn.backend = backend;
-  // Calibrated quantization range for the int8 RPN scan (0 on Tier-A
-  // backends, where the field is inert but still part of plan-cache keys).
-  config.rpn.act_range = act_range;
   config.roi_per_input.clear();
   for (dataset::SensorKind kind : inputs) {
     detect::RoiHeadConfig roi = channel_roi_config(kind);
@@ -90,14 +86,6 @@ detect::BranchConfig make_branch_config(BranchId branch,
 EngineConfig resolve_engine_config(EngineConfig config) {
   config.backend = tensor::resolve_backend(config.backend);
   config.stem.backend = config.backend;
-  // Tier B only: calibrate the activation range once, before any member
-  // that consumes it (the stem bank copies config_.stem in the init list).
-  // Every shard engine runs the identical pure calibration, so scales are
-  // bitwise equal across shard counts by construction.
-  if (config.backend == tensor::Backend::kInt8 &&
-      !(config.stem.act_range > 0.0f)) {
-    config.stem.act_range = calibrate_activation_range(config.quant).act_range;
-  }
   return config;
 }
 
@@ -118,7 +106,7 @@ EcoFusionEngine::EcoFusionEngine(EngineConfig config)
           channel_prototypes(kind, config_.prototype_amplitude_scale));
     }
     branches_.push_back(std::make_unique<detect::BranchDetector>(
-        make_branch_config(id, config_.backend, config_.stem.act_range),
+        make_branch_config(id, config_.backend),
         std::move(prototypes)));
   }
 

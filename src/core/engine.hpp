@@ -19,7 +19,6 @@
 
 #include "core/config_space.hpp"
 #include "core/joint_opt.hpp"
-#include "core/quant_calibration.hpp"
 #include "core/stems.hpp"
 #include "dataset/generator.hpp"
 #include "detect/branch_detector.hpp"
@@ -48,20 +47,10 @@ struct EngineConfig {
   /// attenuation and edge dilution).
   float prototype_amplitude_scale = 1.0f;
   /// Kernel backend for every stem/RPN/ROI kernel the engine constructs.
-  /// kAuto resolves from the environment (ECO_BACKEND, ECO_SIMD,
-  /// ECO_REFERENCE_KERNELS) exactly once at engine construction, so one
-  /// engine never mixes backends mid-run. Tier-A backends (reference/fast/
-  /// simd) are bitwise equal; kInt8 is Tier B — self-deterministic within
-  /// an accuracy envelope (see tensor/backend.hpp).
+  /// kAuto resolves from ECO_BACKEND exactly once at engine construction,
+  /// so one engine never mixes backends mid-run. Both backends are bitwise
+  /// equal (see tensor/backend.hpp).
   tensor::Backend backend = tensor::Backend::kAuto;
-  /// Activation-range calibration stream for the int8 backend. Consulted
-  /// only when the resolved backend is kInt8 and stem.act_range is unset
-  /// (≤ 0): construction then runs one deterministic calibration pass and
-  /// stamps the resulting range into every stem/RPN config, so the stored
-  /// EngineConfig records the concrete scales the engine runs with (and
-  /// run manifests can report them). Setting stem.act_range > 0 up front
-  /// skips calibration and pins that range instead.
-  QuantCalibrationConfig quant;
 };
 
 /// Result of executing one configuration on one frame.

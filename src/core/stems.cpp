@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tensor/nn.hpp"
-#include "tensor/quant.hpp"
 #include "util/rng.hpp"
 
 namespace eco::core {
@@ -67,7 +66,6 @@ StemBank::StemBank(StemConfig config) : config_(config) {
     stem.spec.stride = 1;
     stem.spec.padding = 1;
     stem.spec.backend = tensor::resolve_backend(config_.backend);
-    stem.spec.act_range = config_.act_range;
     stem.weight = tensor::Tensor(
         {config_.out_channels, 1, stem.spec.kernel, stem.spec.kernel});
     // Consume the rng exactly as the previous Conv2d-module bank did so the
@@ -76,12 +74,6 @@ StemBank::StemBank(StemConfig config) : config_(config) {
                             rng);
     stem.bias = tensor::Tensor({config_.out_channels});
     if (config_.out_channels == 8) set_stem_kernels(stem.weight, stem.bias);
-    // Quantize the weights up front under kInt8 so the first frame pays no
-    // plan build (identical stem weights across shards share one cached
-    // plan).
-    if (stem.spec.backend == tensor::Backend::kInt8) {
-      (void)tensor::quant_conv_plan(stem.weight);
-    }
   }
 }
 

@@ -35,11 +35,6 @@ struct StemConfig {
   /// Kernel backend stamped into every stem's Conv2dSpec; kAuto resolves
   /// from the environment at bank construction.
   tensor::Backend backend = tensor::Backend::kAuto;
-  /// Calibrated activation range for the int8 backend (max|cell| over the
-  /// engine's calibration stream), stamped into every stem's Conv2dSpec.
-  /// 0 means uncalibrated: the int8 conv then scales against each input's
-  /// own max|cell|. Inert on Tier-A backends.
-  float act_range = 0.0f;
 };
 
 /// One stem per sensor; produces per-sensor features and the concatenated

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "tensor/ops.hpp"
+#include "tensor/backend.hpp"
 
 namespace eco::dataset {
 
@@ -550,7 +550,7 @@ tensor::Tensor render_sensor(SensorKind kind, const SceneEnvironment& env,
                              const std::vector<detect::GroundTruth>& objects,
                              const std::vector<Phantom>& phantoms,
                              const SensorGridSpec& spec, util::Rng& rng) {
-  if (tensor::use_reference_kernels()) {
+  if (tensor::default_backend() == tensor::Backend::kReference) {
     return render_sensor_reference(kind, env, objects, phantoms, spec, rng);
   }
   return render_sensor_fast(kind, env, objects, phantoms, spec, rng,

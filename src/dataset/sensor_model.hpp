@@ -115,8 +115,8 @@ struct RenderScratch {
 /// Output: (1, H, W) tensor in [0, ~1].
 ///
 /// Dispatches to the fast row-pointer render, or to the reference per-cell
-/// render when ECO_REFERENCE_KERNELS=1 (the tensor-kernel audit pattern).
-/// Both paths draw from `rng` in the same order and are bitwise identical.
+/// render when ECO_BACKEND=reference (the tensor-kernel audit mode). Both
+/// paths draw from `rng` in the same order and are bitwise identical.
 [[nodiscard]] tensor::Tensor render_sensor(
     SensorKind kind, const SceneEnvironment& env,
     const std::vector<detect::GroundTruth>& objects,

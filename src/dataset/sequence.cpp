@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/ops.hpp"
+#include "tensor/backend.hpp"
 
 namespace eco::dataset {
 
@@ -170,7 +170,8 @@ Frame render_planned_frame(const SequencePlan& plan, std::size_t t,
   frame.id = fp.frame_id;
   frame.scene = plan.scene;
   frame.objects = fp.objects;
-  const bool reference = tensor::use_reference_kernels();
+  const bool reference =
+      tensor::default_backend() == tensor::Backend::kReference;
   for (SensorKind kind : all_sensor_kinds()) {
     util::Rng sensor_rng(fp.render_seeds[static_cast<std::size_t>(kind)]);
     frame.sensor_grids[static_cast<std::size_t>(kind)] =

@@ -88,6 +88,10 @@ struct SequencePlan {
 
 /// Renders frame `t` of a plan. Safe to call concurrently for distinct `t`
 /// on the same plan; the result does not depend on render order.
+/// ECO_BACKEND=reference selects render_sensor_reference. An unknown
+/// ECO_BACKEND throws here, so a caller that renders on pool workers
+/// resolves tensor::default_backend() on its own thread first (FrameStream
+/// does, in its constructor).
 [[nodiscard]] Frame render_planned_frame(const SequencePlan& plan,
                                          std::size_t t);
 

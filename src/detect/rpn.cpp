@@ -6,23 +6,8 @@
 
 #include "detect/nms.hpp"
 #include "detect/scan_scratch.hpp"
-#include "tensor/ops.hpp"
-#include "tensor/quant.hpp"
 
 namespace eco::detect {
-
-namespace {
-
-/// The backend a detect-side kernel actually runs: ECO_REFERENCE_KERNELS=1
-/// overrides even an explicit backend (the CI audit leg replays the whole
-/// bench through the reference loops), otherwise kAuto resolves from the
-/// environment.
-tensor::Backend effective_backend(tensor::Backend backend) {
-  if (tensor::use_reference_kernels()) return tensor::Backend::kReference;
-  return tensor::resolve_backend(backend);
-}
-
-}  // namespace
 
 void IntegralImage::reset(const tensor::Tensor& grid,
                           tensor::Backend backend) {
@@ -39,11 +24,7 @@ void IntegralImage::reset(const tensor::Tensor& grid,
   cumulative_.assign((height_ + 1) * (width_ + 1), 0.0);
   const float* data = grid.data();
   const std::size_t w1 = width_ + 1;
-  // kInt8 routes to the vector float walk: the quantized integer chain
-  // lives in the RPN propose path; standalone float integral rebuilds
-  // (e.g. the ROI head's amplitude table) stay float under every backend.
-  const tensor::Backend eb = effective_backend(backend);
-  if (eb == tensor::Backend::kSimd || eb == tensor::Backend::kInt8) {
+  if (tensor::resolve_backend(backend) == tensor::Backend::kSimd) {
     // Two passes: the serial row-prefix chain first (current[x+1] holds
     // this row's running sum), then a vectorized top-to-bottom row add.
     // The single-pass walk stores above + row; this stores row, then adds
@@ -136,7 +117,6 @@ void box_blur3_into_reference(const tensor::Tensor& grid,
 namespace detail {
 
 /// Guarded blur of one cell; taps visited in the reference's dy→dx order.
-/// One definition for every backend's border cells.
 float blur_cell_guarded(const float* g, std::size_t h, std::size_t w,
                         std::size_t y, std::size_t x) {
   float acc = 0.0f;
@@ -157,60 +137,13 @@ float blur_cell_guarded(const float* g, std::size_t h, std::size_t w,
 
 }  // namespace detail
 
-void box_blur3_into_fast(const tensor::Tensor& grid, tensor::Tensor& out) {
-  const std::size_t h = grid.size(1), w = grid.size(2);
-  if (out.shape() != tensor::Shape{1, h, w}) {
-    out.resize({1, h, w});
-  }
-  const float* g = grid.data();
-  float* o = out.data();
-  for (std::size_t y = 0; y < h; ++y) {
-    float* out_row = o + y * w;
-    const bool row_interior = y > 0 && y + 1 < h;
-    if (!row_interior || w < 3) {
-      for (std::size_t x = 0; x < w; ++x) {
-        out_row[x] = detail::blur_cell_guarded(g, h, w, y, x);
-      }
-      continue;
-    }
-    const float* rm = g + (y - 1) * w;
-    const float* r0 = rm + w;
-    const float* rp = r0 + w;
-    out_row[0] = detail::blur_cell_guarded(g, h, w, y, 0);
-    for (std::size_t x = 1; x + 1 < w; ++x) {
-      // Nine taps in the reference's row-major order, one accumulator.
-      float acc = 0.0f;
-      acc += rm[x - 1];
-      acc += rm[x];
-      acc += rm[x + 1];
-      acc += r0[x - 1];
-      acc += r0[x];
-      acc += r0[x + 1];
-      acc += rp[x - 1];
-      acc += rp[x];
-      acc += rp[x + 1];
-      out_row[x] = acc / 9.0f;
-    }
-    out_row[w - 1] = detail::blur_cell_guarded(g, h, w, y, w - 1);
-  }
-}
-
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
                     tensor::Backend backend) {
-  switch (effective_backend(backend)) {
-    case tensor::Backend::kReference:
-      box_blur3_into_reference(grid, out);
-      return;
-    case tensor::Backend::kFast:
-      box_blur3_into_fast(grid, out);
-      return;
-    case tensor::Backend::kAuto:  // effective_backend never returns kAuto
-    case tensor::Backend::kSimd:
-    case tensor::Backend::kInt8:  // float entry point: the quantized blur
-                                  // runs only inside the propose path
-      box_blur3_into_simd(grid, out);
-      return;
+  if (tensor::resolve_backend(backend) == tensor::Backend::kReference) {
+    box_blur3_into_reference(grid, out);
+    return;
   }
+  box_blur3_into_simd(grid, out);
 }
 
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out) {
@@ -231,14 +164,6 @@ std::vector<Proposal> Rpn::propose(const tensor::Tensor& grid,
         scratch->plan_for(grid.size(1), grid.size(2), config_);
     return propose_with_plan(grid, plan, *scratch);
   }
-  // The quantized chain exists only in the plan path; a scratchless int8
-  // propose routes through a local scratch so every int8 scan — scratch or
-  // not — runs the identical Tier-B arithmetic.
-  if (effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    ScanScratch local;
-    const ScanPlan& plan = local.plan_for(grid.size(1), grid.size(2), config_);
-    return propose_with_plan(grid, plan, local);
-  }
   return propose_with_anchors(
       grid, generate_anchors(grid.size(1), grid.size(2), config_.anchors),
       nullptr);
@@ -251,13 +176,6 @@ std::vector<std::vector<Proposal>> Rpn::propose_batch(
   proposals.reserve(grids.size());
   std::vector<Box> anchors;
   std::size_t anchor_h = 0, anchor_w = 0;
-  // Like propose(): int8 always runs the plan path (local scratch reused
-  // across the batch when the caller supplied none).
-  ScanScratch int8_local;
-  if (scratch == nullptr &&
-      effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    scratch = &int8_local;
-  }
   for (const tensor::Tensor* grid : grids) {
     if (grid == nullptr || grid->dim() != 3 || grid->size(0) != 1) {
       throw std::invalid_argument("Rpn::propose_batch: expected (1,H,W) grid");
@@ -314,55 +232,28 @@ std::vector<Proposal> finish_proposals(std::vector<Detection>& raw,
 std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
                                              const ScanPlan& plan,
                                              ScanScratch& scratch) const {
-  const tensor::Backend eb = effective_backend(config_.backend);
+  const bool simd =
+      tensor::resolve_backend(config_.backend) == tensor::Backend::kSimd;
   const std::vector<Box>& anchors = plan.anchors;
   const std::vector<AnchorGeometry>& geometry = plan.geometry;
 
   std::vector<Detection>& raw = scratch.raw_detections;
   raw.clear();
 
-  // Two passes on every backend: a branch-light contrast sweep over all
-  // anchors into scratch.contrast (vectorized on kSimd, the quantized
-  // integer chain on kInt8, scalar otherwise), then a shared threshold/
-  // sigmoid walk over the ~3% that pass. Staging through the same buffer
-  // on every backend keeps the downstream candidate/emit/NMS flow — and
-  // the scratch footprint the arena reports — structurally identical.
+  // Two passes on both backends: a branch-light contrast sweep over all
+  // anchors into scratch.contrast (vectorized on kSimd, scalar on
+  // kReference), then a shared threshold/sigmoid walk over the ~3% that
+  // pass. Staging through the same buffer on both backends keeps the
+  // downstream candidate/emit/NMS flow — and the scratch footprint the
+  // arena reports — structurally identical.
   scratch.contrast.resize(anchors.size());
-  if (eb == tensor::Backend::kInt8) {
-    // Tier-B chain: quantize → 36×-scaled integer blur → int32 integral →
-    // reciprocal-area contrast. The float smoothed/integral buffers are
-    // not touched at all — the whole per-scan cost between the raw grid
-    // and the contrast array is integer arithmetic plus one double
-    // expression per anchor (no divides anywhere).
-    const std::size_t h = grid.size(1), w = grid.size(2);
-    const float range = config_.act_range > 0.0f
-                            ? config_.act_range
-                            : tensor::max_abs(grid.data(), grid.numel());
-    scratch.quantized.resize(h * w);
-    detail::quantize_grid_int8(grid.data(), h * w,
-                               tensor::inverse_scale(range),
-                               scratch.quantized.data());
-    scratch.blurred_q.resize(h * w);
-    detail::box_blur3_int8(scratch.quantized.data(), h, w,
-                           scratch.blurred_q.data());
-    scratch.integral_q.resize((h + 1) * (w + 1));
-    detail::integral_int32(scratch.blurred_q.data(), h, w,
-                           scratch.integral_q.data());
-    const double dequant =
-        static_cast<double>(tensor::symmetric_scale(range)) / 36.0;
-    // Plan-driven sweep: streaming runs + gather leftovers, bitwise equal
-    // to the plain gather pass over the full geometry array.
-    detail::anchor_contrast_pass_int8(scratch.integral_q.data(), plan, dequant,
-                                      scratch.contrast.data());
-  } else if (eb == tensor::Backend::kSimd) {
-    box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed, config_.backend);
+  box_blur3_into(grid, scratch.smoothed, config_.backend);
+  scratch.integral.reset(scratch.smoothed, config_.backend);
+  if (simd) {
     detail::anchor_contrast_pass_simd(scratch.integral.table(),
                                       geometry.data(), anchors.size(),
                                       scratch.contrast.data());
   } else {
-    box_blur3_into(grid, scratch.smoothed, config_.backend);
-    scratch.integral.reset(scratch.smoothed, config_.backend);
     const IntegralImage& integral = scratch.integral;
     // Scalar scoring against the plan's precomputed geometry: each anchor
     // costs eight table lookups plus the scoring arithmetic — the identical
@@ -386,14 +277,14 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
     }
   }
   // Prefilter the survivor indices (vectorized compare + movemask on kSimd,
-  // the identical scalar predicate otherwise) so the sigmoid walk only
+  // the identical scalar predicate on kReference) so the sigmoid walk only
   // touches anchors that pass. The predicate is `!(contrast < threshold)` —
   // exactly emit_if_contrast's early-return, NaN behaviour included — so the
   // emitted set and order match the old full walk. Every backend stages
   // through scratch.candidates to keep the arena footprint backend-invariant.
   scratch.candidates.clear();
   const auto threshold = static_cast<double>(config_.min_contrast);
-  if (eb == tensor::Backend::kSimd || eb == tensor::Backend::kInt8) {
+  if (simd) {
     detail::collect_candidates_simd(scratch.contrast.data(), anchors.size(),
                                     threshold, scratch.candidates);
   } else {
@@ -413,16 +304,6 @@ std::vector<Proposal> Rpn::propose_with_anchors(
     const tensor::Tensor& grid, const std::vector<Box>& anchors,
     ScanScratch* scratch) const {
   const std::size_t h = grid.size(1), w = grid.size(2);
-
-  // Anchors are a pure function of (extent, config), so the plan's anchor
-  // grid equals the caller's; int8 reroutes through the plan path so the
-  // Tier-B arithmetic has a single definition.
-  if (effective_backend(config_.backend) == tensor::Backend::kInt8) {
-    ScanScratch local;
-    ScanScratch& buffers = scratch != nullptr ? *scratch : local;
-    const ScanPlan& plan = buffers.plan_for(h, w, config_);
-    return propose_with_plan(grid, plan, buffers);
-  }
 
   // With scratch, the smoothed grid and the integral table reuse the
   // caller's buffers; the arithmetic is identical either way.

@@ -37,8 +37,8 @@ class IntegralImage {
 
   /// Rebuilds the cumulative table for `grid`, reusing existing storage
   /// when it suffices (a same-extent rebuild never touches the heap). The
-  /// reference/fast backends walk raw row pointers in the same
-  /// left-to-right, top-to-bottom order as ever; the simd backend splits
+  /// reference backend walks raw row pointers in the same left-to-right,
+  /// top-to-bottom order as ever; the simd backend splits
   /// the walk into a serial row-prefix pass and a vectorized row-add pass,
   /// which is bitwise identical because the only reassociation is swapping
   /// the two operands of one IEEE addition per cell. kAuto resolves from
@@ -102,14 +102,6 @@ struct RpnConfig {
   /// participates in equality so plan-cache keys and scan-equivalence
   /// never alias configs that run different code paths.
   tensor::Backend backend = tensor::Backend::kAuto;
-  /// Calibrated activation range for the int8 backend (max|cell| over the
-  /// engine's calibration stream); stamped by the engine at construction.
-  /// 0 means "uncalibrated" — the quantized scan then scales against the
-  /// current grid's own max|cell|, which is still self-deterministic (the
-  /// scale is a pure function of the grid). Unused by Tier-A backends, but
-  /// it participates in equality so plan-cache keys and scan-equivalence
-  /// never alias differently-calibrated scans.
-  float act_range = 0.0f;
 
   /// Exact equality over every field — the channel-scan plan uses this to
   /// prove two channels' scans interchangeable, so new fields participate
@@ -161,10 +153,10 @@ class Rpn {
 
  private:
   /// Scoring over a shared plan's precomputed geometry — what every
-  /// scratch-threaded propose runs. The simd backend scores in two passes
-  /// (vectorized contrast sweep into scratch->contrast, then the scalar
-  /// threshold/sigmoid walk); other backends keep the single scalar loop.
-  /// Bitwise identical either way.
+  /// scratch-threaded propose runs. Both backends score in two passes: a
+  /// contrast sweep into scratch->contrast (vectorized on simd), then the
+  /// threshold/sigmoid walk over the survivors. Bitwise identical either
+  /// way.
   [[nodiscard]] std::vector<Proposal> propose_with_plan(
       const tensor::Tensor& grid, const ScanPlan& plan,
       ScanScratch& scratch) const;
@@ -177,33 +169,27 @@ class Rpn {
 
 /// Same blur into a caller-owned output tensor (reshaped when needed), so
 /// repeated scans can reuse the allocation. Bitwise identical to box_blur3.
-/// Dispatches to the fast kernel (or the reference under
-/// ECO_REFERENCE_KERNELS=1, like tensor::conv2d_rows).
+/// Dispatches like tensor::conv2d_rows: kAuto resolves from ECO_BACKEND.
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out);
 
 /// The original guarded per-tap loop, kept as the blur's ground truth.
 void box_blur3_into_reference(const tensor::Tensor& grid, tensor::Tensor& out);
 
-/// Raw-pointer blur with an interior/border split: interior cells sum three
-/// contiguous row triples in the reference's tap order; the one-cell border
-/// keeps the guarded path. Bitwise identical to the reference.
-void box_blur3_into_fast(const tensor::Tensor& grid, tensor::Tensor& out);
-
-/// Vectorized blur: four interior cells per step, each lane running the
-/// fast kernel's nine-add-then-divide chain (per-lane IEEE ops, so bitwise
-/// identical to box_blur3_into_fast). Borders keep the guarded path.
+/// Vectorized blur: four interior cells per step, each lane summing the
+/// nine taps in the reference's row-major order and then dividing (per-lane
+/// IEEE ops, so bitwise identical to the reference). Borders keep the
+/// guarded path.
 void box_blur3_into_simd(const tensor::Tensor& grid, tensor::Tensor& out);
 
 /// Explicit-backend blur entry point; the two-argument overload dispatches
-/// with kAuto (environment default). ECO_REFERENCE_KERNELS=1 overrides
-/// even an explicit backend, like tensor::conv2d_rows.
+/// with kAuto (environment default).
 void box_blur3_into(const tensor::Tensor& grid, tensor::Tensor& out,
                     tensor::Backend backend);
 
 namespace detail {
 
-/// The guarded border cell of the blur kernels (defined once in rpn.cpp so
-/// every backend's border is the same code).
+/// The guarded border cell of the simd blur, visiting taps in the
+/// reference kernel's dy→dx order.
 [[nodiscard]] float blur_cell_guarded(const float* g, std::size_t h,
                                       std::size_t w, std::size_t y,
                                       std::size_t x);
@@ -229,49 +215,6 @@ void anchor_contrast_pass_simd(const double* table,
 void collect_candidates_simd(const double* contrast, std::size_t count,
                              double threshold,
                              std::vector<std::uint32_t>& out);
-
-// ---- int8 (Tier B) scan chain --------------------------------------
-// The quantized RPN path: grid → int8 codes → 36×-scaled integer blur →
-// int32 integral → contrast. All integer stages are exact (associative)
-// arithmetic; the contrast stage is the single float/double expression
-// that dequantizes. Self-deterministic, not bitwise vs the float chain.
-
-/// Quantizes a float grid to int8 codes (round-half-away, saturate ±127)
-/// held in int16 storage for the vector blur. inv_scale is 127/range, or
-/// 0 to map everything to code 0 (a zero-range grid).
-void quantize_grid_int8(const float* grid, std::size_t count, float inv_scale,
-                        std::int16_t* out);
-
-/// 3×3 box blur over int8 codes, scaled by 36: interior cells sum nine
-/// taps ×4, border cells sum their n valid taps ×(36/n) — n ∈ {1,2,3,4,6,9}
-/// all divide 36, so every cell is exact and |out| ≤ 127·36 = 4572 (int16).
-/// The uniform ×36 scaling replaces the float blur's per-cell divide and
-/// folds into the contrast pass's single dequant factor scale/36.
-void box_blur3_int8(const std::int16_t* q, std::size_t h, std::size_t w,
-                    std::int16_t* out);
-
-/// (h+1)×(w+1) int32 cumulative table over the 36×-scaled blur (max |sum|
-/// ≈ 4572·h·w, far inside int32 for the grids this repo scans).
-void integral_int32(const std::int16_t* blurred, std::size_t h, std::size_t w,
-                    std::int32_t* table);
-
-/// Contrast sweep on the integer integral: per anchor, two exact int32
-/// box sums, then one double expression using the plan's precomputed
-/// reciprocal areas — dequant·(inner·inv_inner − (ring−inner)·inv_ring) —
-/// with dequant = scale/36. No divides in the loop.
-void anchor_contrast_pass_int8(const std::int32_t* table,
-                               const AnchorGeometry* geometry,
-                               std::size_t count, double dequant,
-                               double* contrast_out);
-
-/// Plan-driven contrast sweep: scores the plan's streaming runs with
-/// contiguous vector loads (same-shape anchors along a row read adjacent
-/// table entries — see ScanPlan::int8_runs) and routes the leftover
-/// ranges through the gather overload above. Per anchor this is the exact
-/// operation chain of the gather pass, so the two overloads produce
-/// bitwise-identical contrast arrays.
-void anchor_contrast_pass_int8(const std::int32_t* table, const ScanPlan& plan,
-                               double dequant, double* contrast_out);
 
 }  // namespace detail
 

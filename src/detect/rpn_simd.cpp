@@ -2,9 +2,9 @@
 // integral image's row-add pass, and the RPN anchor-contrast sweep.
 //
 // Same contract as tensor/ops_simd.cpp: lane-per-cell (or lane-per-anchor)
-// vectorization where every lane executes the scalar fast kernel's exact
-// IEEE operation chain in the same order, so outputs are bitwise equal to
-// the scalar backend. This translation unit is compiled with
+// vectorization where every lane executes the scalar kernel's exact IEEE
+// operation chain in the same order, so outputs are bitwise equal to the
+// reference backend. This translation unit is compiled with
 // -ffp-contract=off so no FMA contraction can perturb a chain.
 //
 // ISA widening: the TU is built for the baseline target (SSE2 on x86-64),

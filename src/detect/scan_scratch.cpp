@@ -43,16 +43,6 @@ ScanPlan build_scan_plan(const ScanPlanKey& key) {
     ring.y2 += key.config.ring;
     ring = ring.clipped(limit_w, limit_h);
     g.ring_area = ring.area() - g.inner_area;
-    // Reciprocals for the int8 scoring pass; the emptiness predicates
-    // mirror the Tier-A guards (inner_area > 0 as float, ring_area > 0
-    // after widening to double) so an anchor scores 0 in exactly the same
-    // degenerate cases on both tiers.
-    g.inv_inner = g.inner_area > 0.0f
-                      ? 1.0 / static_cast<double>(g.inner_area)
-                      : 0.0;
-    g.inv_ring = static_cast<double>(g.ring_area) > 0.0
-                     ? 1.0 / static_cast<double>(g.ring_area)
-                     : 0.0;
     {
       const std::size_t x1 = clamp_x(ring.x1), x2 = clamp_x(ring.x2);
       const std::size_t y1 = clamp_y(ring.y1), y2 = clamp_y(ring.y2);
@@ -63,94 +53,6 @@ ScanPlan build_scan_plan(const ScanPlanKey& key) {
       g.ring11 = y2 * w1 + x2;
     }
     plan.geometry.push_back(g);
-  }
-
-  // ---- int8 streaming decomposition -----------------------------------
-  // Same-shape anchors along one centre row advance every table corner by
-  // exactly the anchor stride, so the int8 contrast pass can fetch their
-  // corners with contiguous vector loads. The stride only seeds the
-  // search: each extension is verified against all eight corners, the
-  // validity flags and the reciprocal areas, so clipped border anchors
-  // (whose clamped corners stall or whose areas shrink) simply end the
-  // run. Runs shorter than the narrowest vector group gain nothing and
-  // stay on the gather path.
-  const std::size_t n = plan.geometry.size();
-  const std::size_t shape_count =
-      std::max<std::size_t>(std::size_t{1}, key.config.anchors.shapes.size());
-  const std::size_t delta =
-      std::max<std::size_t>(std::size_t{1}, key.config.anchors.stride);
-  const std::size_t table_size = (key.height + 1) * (key.width + 1);
-  constexpr std::size_t kMinRunLength = 4;
-  std::vector<bool> in_run(n, false);
-  if (delta <= 2) {  // the pass streams delta 1 and 2; others gather
-    const auto extends = [&](std::size_t a, std::size_t b) {
-      const AnchorGeometry& x = plan.geometry[a];
-      const AnchorGeometry& y = plan.geometry[b];
-      return y.inner_valid && y.ring_valid &&
-             y.inner00 == x.inner00 + delta && y.inner01 == x.inner01 + delta &&
-             y.inner10 == x.inner10 + delta && y.inner11 == x.inner11 + delta &&
-             y.ring00 == x.ring00 + delta && y.ring01 == x.ring01 + delta &&
-             y.ring10 == x.ring10 + delta && y.ring11 == x.ring11 + delta;
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in_run[i]) continue;
-      const AnchorGeometry& g = plan.geometry[i];
-      if (!g.inner_valid || !g.ring_valid) continue;
-      std::size_t last = i;
-      std::size_t len = 1;
-      while (last + shape_count < n && !in_run[last + shape_count] &&
-             extends(last, last + shape_count)) {
-        last += shape_count;
-        ++len;
-      }
-      // A delta-2 vector group loads one table entry past its last used
-      // corner; trim so the largest corner (ring11 of the final anchor)
-      // leaves that slack inside the table.
-      if (delta == 2) {
-        while (len > 1 && g.ring11 + delta * (len - 1) + 1 >= table_size) {
-          --len;
-        }
-      }
-      if (len < kMinRunLength) continue;
-      Int8Run run;
-      run.corner[0] = static_cast<std::uint32_t>(g.inner00);
-      run.corner[1] = static_cast<std::uint32_t>(g.inner01);
-      run.corner[2] = static_cast<std::uint32_t>(g.inner10);
-      run.corner[3] = static_cast<std::uint32_t>(g.inner11);
-      run.corner[4] = static_cast<std::uint32_t>(g.ring00);
-      run.corner[5] = static_cast<std::uint32_t>(g.ring01);
-      run.corner[6] = static_cast<std::uint32_t>(g.ring10);
-      run.corner[7] = static_cast<std::uint32_t>(g.ring11);
-      run.out_start = static_cast<std::uint32_t>(i);
-      run.out_stride = static_cast<std::uint32_t>(shape_count);
-      run.length = static_cast<std::uint32_t>(len);
-      run.delta = static_cast<std::uint32_t>(delta);
-      // Repack the members' reciprocal areas contiguously — inv_inner
-      // lanes then inv_ring lanes — so the pass streams them alongside
-      // the corners instead of striding through AnchorGeometry.
-      run.inv_offset = static_cast<std::uint32_t>(plan.int8_run_inv.size());
-      for (std::size_t m = i, c = 0; c < len; ++c, m += shape_count) {
-        plan.int8_run_inv.push_back(plan.geometry[m].inv_inner);
-      }
-      for (std::size_t m = i, c = 0; c < len; ++c, m += shape_count) {
-        plan.int8_run_inv.push_back(plan.geometry[m].inv_ring);
-      }
-      plan.int8_runs.push_back(run);
-      for (std::size_t m = i, c = 0; c < len; ++c, m += shape_count) {
-        in_run[m] = true;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n;) {
-    if (in_run[i]) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && !in_run[j]) ++j;
-    plan.int8_leftovers.emplace_back(static_cast<std::uint32_t>(i),
-                                     static_cast<std::uint32_t>(j));
-    i = j;
   }
   return plan;
 }
@@ -186,16 +88,9 @@ const ScanPlan& ScanScratch::plan_for(std::size_t grid_height,
   return *plan_;
 }
 
-std::size_t ScanScratch::quant_capacity_bytes() const noexcept {
-  return quantized.capacity() * sizeof(std::int16_t) +
-         blurred_q.capacity() * sizeof(std::int16_t) +
-         integral_q.capacity() * sizeof(std::int32_t);
-}
-
 std::size_t ScanScratch::capacity_bytes() const noexcept {
   return smoothed.vec().capacity() * sizeof(float) +
          integral.capacity_bytes() + contrast.capacity() * sizeof(double) +
-         quant_capacity_bytes() +
          candidates.capacity() * sizeof(std::uint32_t) +
          raw_detections.capacity() * sizeof(Detection) +
          values.capacity() * sizeof(float) + region_integral.capacity_bytes() +

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "detect/anchors.hpp"
@@ -43,12 +42,6 @@ struct AnchorGeometry {
   float inner_area = 0.0f;
   float ring_area = 0.0f;  // ring.area() - inner_area, as the float the
                            // scoring formula widens to double
-  /// Reciprocal areas (0 when the area is empty) for the int8 scoring
-  /// pass, which multiplies instead of dividing — the Tier-A backends keep
-  /// their divides (x/a and x·(1/a) differ in the last bit), so these are
-  /// a Tier-B-only speedup over the 4608-anchor sweep.
-  double inv_inner = 0.0;
-  double inv_ring = 0.0;
   bool inner_valid = false;  // inner has positive-extent clamped coords
   bool ring_valid = false;
 };
@@ -65,31 +58,6 @@ struct ScanPlanKey {
   friend bool operator==(const ScanPlanKey&, const ScanPlanKey&) = default;
 };
 
-/// One streaming run for the int8 contrast pass: `length` anchors of one
-/// template shape marching along one grid row. Every step advances all
-/// eight integral-table corners by exactly `delta` cells, so the pass
-/// fetches corners with contiguous vector loads instead of eight
-/// per-anchor gathers; the members' reciprocal areas (which drift by an
-/// ULP with the anchor's float x-offset, so they cannot be shared) are
-/// repacked per run into ScanPlan::int8_run_inv for contiguous loads too.
-/// Runs are verified field-by-field at build time — the anchor-config
-/// stride only *seeds* the search; any anchor that breaks the corner
-/// pattern (clipped borders, dropped anchors) stays on the gather path
-/// via int8_leftovers. Build also trims a run so its vector groups never
-/// read past the (H+1)·(W+1) table, keeping exact-size buffers safe.
-struct Int8Run {
-  /// First anchor's table corners: inner00,01,10,11 then ring00,01,10,11.
-  std::uint32_t corner[8] = {};
-  std::uint32_t out_start = 0;   ///< canonical index of the first anchor
-  std::uint32_t out_stride = 0;  ///< canonical-index step between members
-  std::uint32_t length = 0;      ///< anchors in the run
-  std::uint32_t delta = 0;       ///< per-step corner advance (1 or 2)
-  /// Offset into ScanPlan::int8_run_inv: `length` inv_inner values for
-  /// lanes 0..length-1, then `length` inv_ring values (bitwise copies of
-  /// the members' AnchorGeometry fields).
-  std::uint32_t inv_offset = 0;
-};
-
 /// Immutable anchor grid + aligned scoring geometry for one ScanPlanKey.
 /// Built once in the process-wide plan cache (tensor::PlanCache) and shared
 /// across every scratch/shard/worker via shared_ptr — N shards no longer
@@ -99,13 +67,6 @@ struct Int8Run {
 struct ScanPlan {
   std::vector<Box> anchors;
   std::vector<AnchorGeometry> geometry;
-  /// Int8 streaming decomposition: every anchor index is covered exactly
-  /// once, either by a run or by a leftover [begin,end) range scored by
-  /// the gather pass. Tier-A passes never consult these.
-  std::vector<Int8Run> int8_runs;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> int8_leftovers;
-  /// Per-run repacked reciprocal areas (see Int8Run::inv_offset).
-  std::vector<double> int8_run_inv;
 };
 
 /// Builds the plan for `key` from scratch — generate_anchors plus the
@@ -132,15 +93,6 @@ struct ScanScratch {
   std::vector<std::uint32_t> candidates;   // indices passing the threshold
   std::vector<Detection> raw_detections;   // pre-NMS candidate buffer
 
-  // ---- int8 (Tier B) RPN stage ---------------------------------------
-  // The quantized scan chain stages through these instead of smoothed/
-  // integral: int8-coded cells held as int16 for the vector blur, the
-  // 36×-scaled integer blur (|v| ≤ 4572, exact in int16), and the int32
-  // integral table over it (max |sum| ≈ 10.5M, far inside int32).
-  std::vector<std::int16_t> quantized;     // int8-quantized raw grid
-  std::vector<std::int16_t> blurred_q;     // 36× integer box blur
-  std::vector<std::int32_t> integral_q;    // (H+1)×(W+1) cumulative table
-
   // ---- ROI-head stage -------------------------------------------------
   std::vector<float> values;        // percentile copy of the raw grid
   IntegralImage region_integral;    // amplitude lookups inside regions
@@ -160,12 +112,6 @@ struct ScanScratch {
   /// Bytes of buffer capacity this scratch retains (arena accounting).
   /// Shared plans are excluded — the process-wide cache owns them.
   [[nodiscard]] std::size_t capacity_bytes() const noexcept;
-
-  /// Bytes of the int8 (Tier-B) stage buffers alone — a subset of
-  /// capacity_bytes(). 0 on Tier-A runs, where the quantized chain never
-  /// stages; exec-layer arenas surface this so throughput reports show the
-  /// quantized path's memory cost separately.
-  [[nodiscard]] std::size_t quant_capacity_bytes() const noexcept;
 
  private:
   std::shared_ptr<const ScanPlan> plan_;  // pinned last-used plan

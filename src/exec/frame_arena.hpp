@@ -38,13 +38,6 @@ struct FrameArena {
   [[nodiscard]] std::size_t bytes_high_water() const noexcept {
     return tensors.bytes_high_water() + scan.capacity_bytes();
   }
-
-  /// Bytes of the scan scratch's int8 (Tier-B) stage buffers — a subset of
-  /// bytes_high_water(), 0 on Tier-A runs. Surfaced per slot so throughput
-  /// reports can show what the quantized chain adds to the memory plane.
-  [[nodiscard]] std::size_t quant_bytes_high_water() const noexcept {
-    return scan.quant_capacity_bytes();
-  }
 };
 
 }  // namespace eco::exec

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "obs/trace.hpp"
+#include "tensor/backend.hpp"
 #include "util/rng.hpp"
 
 namespace eco::runtime {
@@ -51,6 +52,10 @@ std::size_t shard_of(std::uint64_t sequence_id,
 }
 
 FrameStream::FrameStream(StreamConfig config) : config_(std::move(config)) {
+  // Generation tasks pick their render path from default_backend(); resolve
+  // it now so a bad ECO_BACKEND surfaces to the caller, not as
+  // std::terminate on a pool worker.
+  (void)tensor::default_backend();
   const std::vector<dataset::SceneType> scenes = effective_scenes(config_);
   const std::size_t shard_count =
       std::max<std::size_t>(1, config_.shard_count);

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "dataset/sequence.hpp"
@@ -32,58 +31,6 @@
 #include "util/env.hpp"
 
 namespace eco::runtime {
-
-/// A single-producer bounded FIFO with blocking push/pop and close().
-/// (No longer used by FrameStream; kept as a utility for stream-like
-/// adapters and tests.)
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Blocks while the queue is full. Returns false if the queue was closed.
-  bool push(T value) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || queue_.size() < capacity_; });
-    if (closed_) return false;
-    queue_.push(std::move(value));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while the queue is empty and open; empty optional = drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return std::nullopt;
-    T value = std::move(queue_.front());
-    queue_.pop();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
-  /// Closes the queue: pending pops drain remaining items, pushes fail.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::queue<T> queue_;
-  std::size_t capacity_;
-  bool closed_ = false;
-};
 
 /// Stream composition parameters.
 struct StreamConfig {
@@ -128,6 +75,9 @@ struct StreamFrame {
 /// prefetch == 0); there is no dedicated producer thread.
 class FrameStream {
  public:
+  /// Resolves the process-wide kernel backend before anything else, so an
+  /// unknown ECO_BACKEND throws std::invalid_argument here, on the caller's
+  /// thread, rather than inside a pooled generation task.
   explicit FrameStream(StreamConfig config);
   ~FrameStream();
 

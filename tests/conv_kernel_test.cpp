@@ -1,12 +1,20 @@
-// Pins the raw-pointer fast kernels bitwise against their reference
-// implementations across the awkward geometries: odd extents, stride > 1,
-// padding >= kernel/2 (and beyond the kernel), 1x1 kernels, row-restricted
-// and empty row ranges. The fast kernels' interior/border split must be
-// invisible — Tensor::equals (exact float compare) throughout.
+// Pins the simd kernels and their scalar conv fallback (conv2d_rows_fast)
+// bitwise against the reference implementations across the awkward
+// geometries: odd extents, stride > 1, padding >= kernel/2 (and beyond the
+// kernel), 1x1 kernels, row-restricted and empty row ranges. The
+// interior/border split must be invisible — Tensor::equals (exact float
+// compare) throughout. Also pins ECO_BACKEND, the one knob that selects
+// between the two backends.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "detect/rpn.hpp"
 #include "detect/scan_scratch.hpp"
+#include "runtime/stream.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -52,15 +60,15 @@ TEST_P(ConvKernelEquivalence, FastMatchesReferenceBitwise) {
       << " h=" << c.h << " w=" << c.w;
 
   // The simd backend too — the vector interior plus its scalar tail (and
-  // the delegation to fast for stride > 1) must be invisible.
+  // the delegation to conv2d_rows_fast for other shapes) must be invisible.
   Tensor simd({spec.out_channels, oh, ow});
   conv2d_rows_simd(input, weight, bias, spec, 0, oh, simd);
   EXPECT_TRUE(simd.equals(reference))
       << "simd k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
       << " h=" << c.h << " w=" << c.w;
 
-  // The dispatching entry point agrees too (fast path unless the
-  // ECO_REFERENCE_KERNELS env pins the reference, which is also exact).
+  // The dispatching entry point agrees too (simd unless
+  // ECO_BACKEND=reference pins the reference, which is also exact).
   Tensor dispatched({spec.out_channels, oh, ow});
   conv2d_rows(input, weight, bias, spec, 0, oh, dispatched);
   EXPECT_TRUE(dispatched.equals(reference));
@@ -164,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{2, 3, 3, 1, 1, 8, 7},
         KernelCase{1, 1, 3, 1, 1, 1, 48}));
 
-TEST(BoxBlurKernelTest, FastMatchesReferenceBitwise) {
+TEST(BoxBlurKernelTest, SimdMatchesReferenceBitwise) {
   util::Rng rng(4242);
   // Widths straddle the 4-lane interior sweep: below one vector, exact
   // multiples, and every tail residue.
@@ -172,12 +180,10 @@ TEST(BoxBlurKernelTest, FastMatchesReferenceBitwise) {
            {1, 1}, {1, 8}, {8, 1}, {2, 2}, {3, 3}, {3, 4}, {3, 5}, {4, 6},
            {4, 7}, {5, 9}, {48, 48}}) {
     const Tensor grid = random_tensor({1, h, w}, rng, 0.0f, 1.0f);
-    Tensor fast, reference, simd, dispatched;
-    detect::box_blur3_into_fast(grid, fast);
+    Tensor reference, simd, dispatched;
     detect::box_blur3_into_reference(grid, reference);
     detect::box_blur3_into_simd(grid, simd);
     detect::box_blur3_into(grid, dispatched);
-    EXPECT_TRUE(fast.equals(reference)) << h << "x" << w;
     EXPECT_TRUE(simd.equals(reference)) << h << "x" << w;
     EXPECT_TRUE(dispatched.equals(reference)) << h << "x" << w;
   }
@@ -192,14 +198,11 @@ TEST(IntegralImageKernelTest, SimdResetMatchesReferenceBitwise) {
            {1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {5, 4}, {13, 29},
            {48, 48}}) {
     const Tensor grid = random_tensor({1, h, w}, rng, 0.0f, 2.0f);
-    detect::IntegralImage reference, fast, simd;
+    detect::IntegralImage reference, simd;
     reference.reset(grid, Backend::kReference);
-    fast.reset(grid, Backend::kFast);
     simd.reset(grid, Backend::kSimd);
     const std::size_t cells = (h + 1) * (w + 1);
     for (std::size_t i = 0; i < cells; ++i) {
-      ASSERT_EQ(fast.table()[i], reference.table()[i])
-          << h << "x" << w << " cell " << i;
       ASSERT_EQ(simd.table()[i], reference.table()[i])
           << h << "x" << w << " cell " << i;
     }
@@ -225,7 +228,7 @@ TEST(AnchorContrastPassTest, SimdSweepMatchesScalarChain) {
         integral.table(), plan.geometry.data(), plan.anchors.size(),
         simd.data());
     for (std::size_t i = 0; i < plan.anchors.size(); ++i) {
-      // The exact scalar chain propose_with_plan runs on non-simd backends.
+      // The exact scalar chain propose_with_plan runs on kReference.
       const detect::AnchorGeometry& g = plan.geometry[i];
       const double inner_sum =
           g.inner_valid
@@ -255,19 +258,17 @@ TEST(RpnBackendTest, ProposalsBitwiseInvariantAcrossBackends) {
   reference_config.backend = Backend::kReference;
   const auto reference =
       detect::Rpn(reference_config).propose(grid);
-  for (const Backend backend : {Backend::kFast, Backend::kSimd}) {
-    detect::RpnConfig config;
-    config.backend = backend;
-    detect::ScanScratch scratch;
-    const auto proposals = detect::Rpn(config).propose(grid, &scratch);
-    ASSERT_EQ(proposals.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(proposals[i].box.x1, reference[i].box.x1);
-      EXPECT_EQ(proposals[i].box.y1, reference[i].box.y1);
-      EXPECT_EQ(proposals[i].box.x2, reference[i].box.x2);
-      EXPECT_EQ(proposals[i].box.y2, reference[i].box.y2);
-      EXPECT_EQ(proposals[i].objectness, reference[i].objectness);
-    }
+  detect::RpnConfig config;
+  config.backend = Backend::kSimd;
+  detect::ScanScratch scratch;
+  const auto proposals = detect::Rpn(config).propose(grid, &scratch);
+  ASSERT_EQ(proposals.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(proposals[i].box.x1, reference[i].box.x1);
+    EXPECT_EQ(proposals[i].box.y1, reference[i].box.y1);
+    EXPECT_EQ(proposals[i].box.x2, reference[i].box.x2);
+    EXPECT_EQ(proposals[i].box.y2, reference[i].box.y2);
+    EXPECT_EQ(proposals[i].objectness, reference[i].objectness);
   }
 }
 
@@ -316,6 +317,68 @@ TEST(AnchorGeometryTest, ScratchProposalsMatchScratchless) {
     EXPECT_EQ(with_scratch[i].box.y2, without[i].box.y2);
     EXPECT_EQ(with_scratch[i].objectness, without[i].objectness);
   }
+}
+
+// ---- ECO_BACKEND parsing -------------------------------------------------
+
+TEST(BackendEnvTest, ParsesEveryBackendName) {
+  EXPECT_EQ(backend_from_env_value("reference"), Backend::kReference);
+  EXPECT_EQ(backend_from_env_value("simd"), Backend::kSimd);
+  EXPECT_EQ(backend_from_env_value("auto"), Backend::kAuto);
+  for (const Backend backend :
+       {Backend::kAuto, Backend::kReference, Backend::kSimd}) {
+    const auto parsed = parse_backend(backend_name(backend));
+    ASSERT_TRUE(parsed.has_value()) << backend_name(backend);
+    EXPECT_EQ(*parsed, backend);
+  }
+}
+
+TEST(BackendEnvTest, UnknownValueFailsLoudlyListingValidNames) {
+  // "fast" and "int8" were backends once; they are unknown values now.
+  for (const char* name : {"fast", "int8", "", "int9"}) {
+    try {
+      (void)backend_from_env_value(name);
+      FAIL() << "expected std::invalid_argument for '" << name << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("\"" + std::string(name) + "\""),
+                std::string::npos)
+          << message;
+      const std::string valid = "valid values: ";
+      const std::size_t at = message.find(valid);
+      ASSERT_NE(at, std::string::npos) << message;
+      EXPECT_EQ(message.substr(at + valid.size()), "auto, reference, simd");
+    }
+  }
+}
+
+// default_backend() resolves once per process, so the bad value is set in
+// a fresh child process. Pooled generation tasks pick their render path
+// from the backend; if FrameStream did not resolve it up front, the throw
+// would happen on a pool worker and end in std::terminate instead of
+// reaching this thread.
+TEST(BackendEnvTest, FrameStreamThrowsOnCallerThreadForUnknownBackend) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        setenv("ECO_BACKEND", "fast", 1);
+        int code = 1;
+        try {
+          runtime::StreamConfig config;
+          config.sequence.length = 2;
+          config.sequences_per_scene = 1;
+          config.prefetch = 2;
+          runtime::ThreadPool pool(2);
+          runtime::FrameStream stream(config);
+          stream.attach_pool(pool);
+          while (stream.next()) {
+          }
+        } catch (const std::invalid_argument&) {
+          code = 0;
+        }
+        std::exit(code);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

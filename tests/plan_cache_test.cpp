@@ -93,7 +93,7 @@ TEST(PlanCacheTest, ThreadLocalCountersTrackHitsAndMisses) {
 
 TEST(ScanPlanCacheTest, ScratchesShareOnePlanInstancePerKey) {
   detect::RpnConfig config;
-  config.backend = tensor::Backend::kFast;
+  config.backend = tensor::Backend::kReference;
   detect::ScanScratch a, b;
   const detect::ScanPlan& plan_a = a.plan_for(48, 48, config);
   const detect::ScanPlan& plan_b = b.plan_for(48, 48, config);

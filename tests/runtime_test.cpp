@@ -73,19 +73,6 @@ TEST(ThreadPoolTest, RunsEveryTaskAndReportsWorkerIds) {
   EXPECT_LT(max_worker.load(), 3u);
 }
 
-TEST(BoundedQueueTest, DeliversInOrderAndDrainsAfterClose) {
-  BoundedQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(queue.push(i));
-  queue.close();
-  EXPECT_FALSE(queue.push(99));
-  for (int i = 0; i < 4; ++i) {
-    auto value = queue.pop();
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, i);
-  }
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
 TEST(FrameStreamTest, OrderIsDeterministicAndMixesScenes) {
   auto collect = [](const StreamConfig& config) {
     FrameStream stream(config);

@@ -10,8 +10,7 @@ namespace {
 TEST(RenderBackendTest, FastMatchesReferenceBitwise) {
   // The fast render (row-pointer walks, hoisted blob tables, batched noise
   // fills) must be bitwise identical to the reference per-cell render for
-  // every sensor kind — same contract the tensor kernels pin with
-  // ECO_REFERENCE_KERNELS.
+  // every sensor kind — the render half of ECO_BACKEND=reference.
   const SensorGridSpec spec;
   RenderScratch scratch;
   for (SceneType scene : {SceneType::kCity, SceneType::kFog}) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "util/csv.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -118,6 +121,38 @@ TEST(LoggingTest, LevelFilterSuppressesBelowThreshold) {
   log_info() << "suppressed";
   log_error() << "emitted";
   set_log_level(original);
+}
+
+// Values are cached per name at first read, so every case uses its own
+// variable name.
+TEST(EnvSizeTest, PlainDigitsParse) {
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_DIGITS", "12", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_DIGITS", 5), 12u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_ZERO_OK", "0", 1), 0);
+  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_ZERO_OK", 5), 0u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_ZERO", "0", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_ZERO", 5), 5u);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_UNSET", 5), 5u);
+}
+
+TEST(EnvSizeTest, MinusSignIsUnparsable) {
+  // Must not wrap to SIZE_MAX: ECO_PREFETCH=-1 would render the whole
+  // stream ahead.
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_MINUS", "-1", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_MINUS", 5), 5u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_MINUS_ZERO_OK", "-1", 1), 0);
+  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_MINUS_ZERO_OK", 5), 5u);
+}
+
+TEST(EnvSizeTest, TrailingCharactersAreUnparsable) {
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_TRAILING", "8x", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_TRAILING", 5), 5u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_TRAILING_ZERO_OK", "0x", 1), 0);
+  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_TRAILING_ZERO_OK", 5), 5u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_SPACE", " 8", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_SPACE", 5), 5u);
+  ASSERT_EQ(setenv("ECO_TEST_SIZE_OVERFLOW", "99999999999999999999999", 1), 0);
+  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_OVERFLOW", 5), 5u);
 }
 
 }  // namespace
