@@ -1,7 +1,7 @@
 // Self-describing run manifests.
 //
 // A BENCH_*.json row is only as useful as the context it was produced in:
-// which commit, which compiler, which env toggles, which stream/pipeline
+// which commit, which compiler, which env knob, which stream/pipeline
 // settings, and what the closed-loop controllers actually did per shard.
 // A RunManifest packages all of that as one JSON artifact written next to
 // the run's outputs, so a number in a bench row (or a span in a trace) can

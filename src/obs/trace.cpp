@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/env.hpp"
-
 namespace eco::obs {
 
 namespace {
@@ -206,7 +204,5 @@ bool Tracer::write_json(const std::string& path) const {
   std::fclose(f);
   return written == json.size();
 }
-
-bool trace_env_enabled() { return util::env_enabled("ECO_TRACE"); }
 
 }  // namespace eco::obs

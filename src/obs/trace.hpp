@@ -26,7 +26,7 @@
 //      quiesces); a full ring drops new spans and counts the drops instead
 //      of blocking or corrupting earlier records.
 //
-// Usage: install a Tracer (the bench does this under ECO_TRACE=1), set
+// Usage: install a Tracer (the bench does this for one traced run), set
 // PipelineConfig::tracing, run. Worker tasks activate their lane with a
 // ShardScope; exec-layer code emits spans unconditionally and inherits the
 // scope of whatever task is running it.
@@ -271,9 +271,5 @@ class Span {
   std::array<double, 4> args_{};
   std::chrono::steady_clock::time_point start_;
 };
-
-/// True when the ECO_TRACE environment toggle requests tracing ("1", "true",
-/// "on"; anything else, or unset, is off).
-[[nodiscard]] bool trace_env_enabled();
 
 }  // namespace eco::obs

@@ -13,7 +13,6 @@
 #include "exec/stem_cache.hpp"
 #include "obs/trace.hpp"
 #include "tensor/plan_cache.hpp"
-#include "util/env.hpp"
 
 namespace eco::runtime {
 
@@ -415,9 +414,8 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
   // true serialization, so the in-flight depth drops to 1 (stream pull
   // still overlaps, and the per-window events replace both pool-wide
   // barriers). Without controllers, two windows are in flight.
-  const bool pipelined = config_.pipeline_windows &&
-                         !util::env_disabled("ECO_PIPELINE_WINDOWS") &&
-                         !config_.budget && !config_.deadline;
+  const bool pipelined =
+      config_.pipeline_windows && !config_.budget && !config_.deadline;
   const std::size_t depth = pipelined ? 2 : 1;
 
   std::uint64_t barrier_wait_ns = 0;

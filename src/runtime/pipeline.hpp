@@ -34,10 +34,10 @@
 // ping-ponged slot sets). With a budget/deadline controller the depth
 // drops to 1 — λ(W+1) genuinely depends on window W's fold — but even
 // then the stream pull of W+1 overlaps W's execution and the two
-// pool-wide barriers per window are gone. ECO_PIPELINE_WINDOWS=0 (or
-// PipelineConfig::pipeline_windows=false) forces depth 1; the slot
-// topology does NOT change with the toggle (see stem_cache_sequences
-// note), so reports stay bitwise identical across it.
+// pool-wide barriers per window are gone. PipelineConfig::pipeline_windows
+// = false forces depth 1; the slot topology does NOT change with the
+// toggle (see stem_cache_sequences note), so reports stay bitwise
+// identical across it.
 //
 // The pipeline can run on a pool it owns (run/2) or as one client of a
 // shared pool (run/3): the sharded front-end (runtime/shard.hpp) drives one
@@ -121,7 +121,7 @@ struct PipelineConfig {
   /// worker-count invariant for any value here.
   std::size_t stem_cache_sequences = 64;
   /// Emit obs:: spans for every pipeline stage (requires an installed
-  /// obs::Tracer; the bench wires this to ECO_TRACE=1). Spans only observe
+  /// obs::Tracer; the bench traces one repetition). Spans only observe
   /// — reports are bitwise identical with tracing on or off, and with it
   /// off every instrumentation site costs one predicted branch.
   bool tracing = false;
@@ -131,13 +131,12 @@ struct PipelineConfig {
   /// Allow idle pool workers to steal queued tasks from busy workers'
   /// deques (pools the pipeline creates; a caller-supplied pool keeps its
   /// own setting). Scheduling only — reports are bitwise identical either
-  /// way. ECO_STEAL=0 force-disables process-wide.
+  /// way.
   bool steal = true;
   /// Overlap window W+1's phase A with window W's phase B when no
   /// controller creates a cross-window λ dependency. Scheduling only —
   /// reports are bitwise identical either way (slot topology is fixed at
-  /// two ping-ponged sets regardless). ECO_PIPELINE_WINDOWS=0
-  /// force-disables process-wide.
+  /// two ping-ponged sets regardless).
   bool pipeline_windows = true;
 };
 

@@ -10,8 +10,8 @@
 // schedule (which frame occupies which global index) is precomputed at
 // construction; frame synthesis runs as sequence-granular tasks on the
 // shared ThreadPool attached via attach_pool(), bounded by a lookahead
-// window of `prefetch` sequences (ECO_PREFETCH; 0 = generate inline on the
-// consumer thread, the pre-PR-10 serial behaviour minus the extra thread).
+// window of `prefetch` sequences (StreamConfig::prefetch, default 8; 0 =
+// generate inline on the consumer thread, with no extra thread).
 // next() stitches the generated sequences back together in exact global
 // order, so the *content and order* of the stream is a pure function of
 // StreamConfig — it does not depend on the prefetch depth, pool size,
@@ -28,7 +28,6 @@
 
 #include "dataset/sequence.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/env.hpp"
 
 namespace eco::runtime {
 
@@ -57,8 +56,8 @@ struct StreamConfig {
   /// consumed ahead of the consumers when a pool is attached (backpressure
   /// and the memory bound). 0 disables pooled generation entirely: frames
   /// are synthesized inline on the consumer thread. Any depth produces the
-  /// identical stream; the default comes from ECO_PREFETCH.
-  std::size_t prefetch = util::env_size_allowing_zero("ECO_PREFETCH", 8);
+  /// identical stream.
+  std::size_t prefetch = 8;
 };
 
 /// One frame of the multiplexed stream.

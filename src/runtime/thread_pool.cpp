@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 
 namespace eco::runtime {
 namespace {
@@ -140,7 +139,7 @@ bool WorkDeque::steal(Item& out) noexcept {
 
 ThreadPool::ThreadPool(const ThreadPoolConfig& config) {
   const std::size_t count = config.workers == 0 ? 1 : config.workers;
-  steal_ = config.steal && !util::env_disabled("ECO_STEAL");
+  steal_ = config.steal;
   trace_ = config.trace;
   injector_ring_.resize(
       config.injector_capacity < 16 ? 16 : config.injector_capacity);

@@ -12,7 +12,7 @@
 //     deque with no lock and no heap allocation; the owner pops LIFO from
 //     the bottom while idle workers steal FIFO from the top with a single
 //     CAS. Stealing is on by default and can be disabled per pool
-//     (ThreadPoolConfig::steal) or process-wide with ECO_STEAL=0.
+//     (ThreadPoolConfig::steal).
 //   * Tasks submitted from OUTSIDE the pool (the pipeline/shard drivers)
 //     land in a shared bounded injector ring guarded by a mutex — a cold
 //     path (a handful of submissions per control window), polled by workers
@@ -349,8 +349,7 @@ struct SchedulerStats {
 
 struct ThreadPoolConfig {
   std::size_t workers = 1;
-  /// Allow idle workers to steal from other workers' deques. Also gated
-  /// process-wide by ECO_STEAL=0 (util/env.hpp).
+  /// Allow idle workers to steal from other workers' deques.
   bool steal = true;
   /// Emit scheduler_idle spans (obs/trace.hpp) while workers wait for work.
   /// Follows the pipeline's tracing flag so the zero-spans-when-off
@@ -379,7 +378,7 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
 
-  /// True when work stealing is active for this pool (config && ECO_STEAL).
+  /// True when work stealing is active for this pool (config.steal).
   [[nodiscard]] bool stealing() const noexcept { return steal_; }
 
   /// Enqueues one task. Never blocks. From a worker thread of this pool the

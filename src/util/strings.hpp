@@ -1,6 +1,8 @@
 // Small string helpers shared across modules.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,5 +24,10 @@ namespace eco::util {
 
 /// True if `text` begins with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
+
+/// Strict unsigned decimal: every character a digit and the value in range,
+/// else nullopt. A sign, whitespace, trailing characters or an empty string
+/// are rejected (strtoul would wrap "-1" to SIZE_MAX and read "8x" as 8).
+[[nodiscard]] std::optional<std::size_t> parse_size(std::string_view text);
 
 }  // namespace eco::util

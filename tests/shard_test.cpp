@@ -13,6 +13,7 @@
 #include "runtime/shard.hpp"
 #include "runtime/stream.hpp"
 #include "runtime/thread_pool.hpp"
+#include "tensor/backend.hpp"
 
 namespace eco::runtime {
 namespace {
@@ -56,9 +57,11 @@ ShardedReport run_sharded(std::size_t shards, std::size_t workers,
                           std::optional<BudgetConfig> budget = std::nullopt,
                           std::optional<DeadlineConfig> deadline =
                               std::nullopt,
-                          bool share_channel_scans = true) {
+                          bool share_channel_scans = true,
+                          tensor::Backend backend = tensor::Backend::kAuto) {
   ShardedConfig config;
   config.shards = shards;
+  config.engine.backend = backend;
   config.pipeline.workers = workers;
   config.pipeline.window = 16;
   config.pipeline.joint.gamma = 2.0f;
@@ -244,8 +247,10 @@ TEST(ShardedStreamTest, NonOwnedLanesAdvanceGlobalIndexForOddSequenceCounts) {
 }
 
 // The headline contract: with fixed scoring weights the merged report is
-// bitwise identical at 1/2/4 shards × 1/4 workers. The Deep gate pulls F
-// every frame, so the per-shard temporal stem caches are on the path.
+// bitwise identical at 1/2/4 shards × 1/4 workers, with either kernel
+// backend pinned explicitly, and with inline (prefetch 0) generation. The
+// Deep gate pulls F every frame, so the per-shard temporal stem caches and
+// the stem convolutions are on the path.
 TEST(ShardedPipelineTest, MergedReportBitwiseInvariantAcrossShardsAndWorkers) {
   std::vector<ShardedReport> reports;
   for (std::size_t shards : {1u, 2u, 4u}) {
@@ -265,6 +270,28 @@ TEST(ShardedPipelineTest, MergedReportBitwiseInvariantAcrossShardsAndWorkers) {
     const bool same_shards = (r / 2) == 0;
     expect_merged_equal(reference, reports[r].merged,
                         /*compare_batching=*/same_shards);
+  }
+  // An explicitly constructed backend overrides ECO_BACKEND, so whichever
+  // backend the environment selected for `reference`, one of these runs
+  // crosses backends.
+  for (tensor::Backend backend :
+       {tensor::Backend::kReference, tensor::Backend::kSimd}) {
+    SCOPED_TRACE(tensor::backend_name(backend));
+    expect_merged_equal(reference,
+                        run_sharded(1, 4, deep_factory(), small_stream(),
+                                    std::nullopt, std::nullopt,
+                                    /*share_channel_scans=*/true, backend)
+                            .merged,
+                        /*compare_batching=*/true);
+  }
+  // Inline generation on the consumer thread renders the identical stream.
+  StreamConfig inline_stream = small_stream();
+  inline_stream.prefetch = 0;
+  for (std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    expect_merged_equal(
+        reference, run_sharded(shards, 4, deep_factory(), inline_stream).merged,
+        /*compare_batching=*/shards == 1);
   }
   // Stem-cache behaviour is invariant under shard routing: sequences are
   // routed whole, so each sequence costs exactly one miss, and the summed

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "util/csv.hpp"
-#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -123,36 +120,28 @@ TEST(LoggingTest, LevelFilterSuppressesBelowThreshold) {
   set_log_level(original);
 }
 
-// Values are cached per name at first read, so every case uses its own
-// variable name.
-TEST(EnvSizeTest, PlainDigitsParse) {
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_DIGITS", "12", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_DIGITS", 5), 12u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_ZERO_OK", "0", 1), 0);
-  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_ZERO_OK", 5), 0u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_ZERO", "0", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_ZERO", 5), 5u);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_UNSET", 5), 5u);
+TEST(ParseSizeTest, PlainDigitsParse) {
+  EXPECT_EQ(parse_size("12"), 12u);
+  EXPECT_EQ(parse_size("0"), 0u);  // zero parses; the caller decides
+  EXPECT_EQ(parse_size("007"), 7u);
 }
 
-TEST(EnvSizeTest, MinusSignIsUnparsable) {
-  // Must not wrap to SIZE_MAX: ECO_PREFETCH=-1 would render the whole
-  // stream ahead.
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_MINUS", "-1", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_MINUS", 5), 5u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_MINUS_ZERO_OK", "-1", 1), 0);
-  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_MINUS_ZERO_OK", 5), 5u);
+TEST(ParseSizeTest, SignsAreRejected) {
+  // Must not wrap to SIZE_MAX the way strtoul reads "-1".
+  EXPECT_EQ(parse_size("-1"), std::nullopt);
+  EXPECT_EQ(parse_size("+1"), std::nullopt);
 }
 
-TEST(EnvSizeTest, TrailingCharactersAreUnparsable) {
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_TRAILING", "8x", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_TRAILING", 5), 5u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_TRAILING_ZERO_OK", "0x", 1), 0);
-  EXPECT_EQ(env_size_allowing_zero("ECO_TEST_SIZE_TRAILING_ZERO_OK", 5), 5u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_SPACE", " 8", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_SPACE", 5), 5u);
-  ASSERT_EQ(setenv("ECO_TEST_SIZE_OVERFLOW", "99999999999999999999999", 1), 0);
-  EXPECT_EQ(env_size_or("ECO_TEST_SIZE_OVERFLOW", 5), 5u);
+TEST(ParseSizeTest, SpacesAndTrailingCharactersAreRejected) {
+  EXPECT_EQ(parse_size("8x"), std::nullopt);
+  EXPECT_EQ(parse_size("0x"), std::nullopt);
+  EXPECT_EQ(parse_size(" 8"), std::nullopt);
+  EXPECT_EQ(parse_size("8 "), std::nullopt);
+  EXPECT_EQ(parse_size(""), std::nullopt);
+}
+
+TEST(ParseSizeTest, OverflowIsRejected) {
+  EXPECT_EQ(parse_size("99999999999999999999999"), std::nullopt);
 }
 
 }  // namespace
