@@ -24,7 +24,6 @@
 #include "fusion/wbf.hpp"
 #include "gating/learned_gate.hpp"
 #include "tensor/arena.hpp"
-#include "tensor/nn.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -37,20 +36,48 @@ dataset::Frame test_frame() {
   return dataset::generate_frame(dataset::SceneType::kCity, config, 7);
 }
 
-void BM_Conv2dForward(benchmark::State& state) {
-  util::Rng rng(1);
+// The learned gate's three stride-2 convs per backend (Arg 0-2 = 32->24
+// on 24x24, 24->24 on 12x12, 24->24 on 6x6, all k3/s2/p1). The backends
+// are pinned bitwise identical in tests; the ratio is the payoff of the
+// simd backend's output-channel lanes.
+struct GateConvShape {
+  std::size_t in_channels, out_channels, extent;
+};
+constexpr GateConvShape kGateConvShapes[] = {
+    {32, 24, 24}, {24, 24, 12}, {24, 24, 6}};
+
+void gate_conv_bench(benchmark::State& state, tensor::Backend backend) {
+  const GateConvShape& shape =
+      kGateConvShapes[static_cast<std::size_t>(state.range(0))];
   tensor::Conv2dSpec spec;
-  spec.in_channels = 32;
-  spec.out_channels = 16;
+  spec.in_channels = shape.in_channels;
+  spec.out_channels = shape.out_channels;
   spec.stride = 2;
-  tensor::Conv2d conv(spec, rng);
-  tensor::Tensor input({32, 24, 24});
+  spec.backend = backend;
+  util::Rng rng(1);
+  tensor::Tensor input({shape.in_channels, shape.extent, shape.extent});
+  tensor::Tensor weight({shape.out_channels, shape.in_channels, 3, 3});
+  tensor::Tensor bias({shape.out_channels});
   for (auto& v : input.vec()) v = rng.uniform_f(0.0f, 1.0f);
+  for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
+  for (auto& v : bias.vec()) v = rng.uniform_f(-0.5f, 0.5f);
+  const std::size_t oh = spec.out_extent(shape.extent);
+  tensor::Tensor out({shape.out_channels, oh, oh});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(input));
+    tensor::conv2d_rows(input, weight, bias, spec, 0, oh, out);
+    benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_Conv2dForward);
+
+void BM_Conv2dGateReference(benchmark::State& state) {
+  gate_conv_bench(state, tensor::Backend::kReference);
+}
+BENCHMARK(BM_Conv2dGateReference)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_Conv2dGateSimd(benchmark::State& state) {
+  gate_conv_bench(state, tensor::Backend::kSimd);
+}
+BENCHMARK(BM_Conv2dGateSimd)->Arg(0)->Arg(1)->Arg(2);
 
 // Simd vs reference conv kernel on a stem-shaped workload (equivalence is
 // pinned bitwise in tests).

@@ -180,7 +180,8 @@ namespace {
 // blob falloff tables, and batched noise fills staged through RenderScratch.
 // Both instantiations draw from the rng in exactly the same order with
 // exactly the same arithmetic, so their outputs are bitwise identical —
-// the bench self-gate and sequence_test pin this on every run.
+// sensor_model_test's RenderBackendTest.FastMatchesReferenceBitwise pins
+// this, and CI replays the whole suite under ECO_BACKEND=reference.
 
 /// Splats a filled rectangle of amplitude `value` (max-composited).
 template <bool Fast>

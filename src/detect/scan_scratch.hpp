@@ -11,8 +11,9 @@
 //
 // Threading scratch through is purely an allocation optimization: every
 // consumer runs the identical arithmetic over the reused buffers, so results
-// are bitwise identical with or without scratch (pinned by tests and the
-// bench self-gate).
+// are bitwise identical with or without scratch (pinned by conv_kernel_test's
+// AnchorGeometryTest.ScratchProposalsMatchScratchless and exec_test's
+// ChannelScanTest.ScanThenMergeMatchesDetect).
 //
 // Single-threaded state: one scratch per (frame slot, task).
 #pragma once

@@ -8,8 +8,9 @@
 // pipeline owns one FrameArena per window slot and hands it to each
 // FrameWorkspace occupying that slot, so the buffers persist across frames:
 // after the first window warms a slot, steady-state frames execute with
-// zero tensor heap allocations (pinned by the `tensor_allocs` frame counter
-// and the bench self-gate).
+// zero tensor heap allocations (the `tensor_allocs` frame counter reports
+// it; arena_test's PipelineArenaTest.SteadyStateFramesReportZeroAllocs
+// pins it).
 //
 // begin_frame() is the frame boundary: the tensor arena's slots become
 // reusable (capacity retained) while the cumulative counters — heap_allocs,

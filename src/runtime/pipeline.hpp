@@ -184,7 +184,8 @@ struct FrameStats {
   /// execution (thread-local tensor::plan_cache counter deltas over the
   /// same stretches as tensor_allocs). Which frame pays a miss depends on
   /// scheduling, so — like tensor_allocs — these stay out of the bitwise
-  /// cross-shard comparisons; the bench gates on the run totals instead.
+  /// cross-shard comparisons; plan_cache_test's
+  /// PlanCacheTest.ThreadLocalCountersTrackHitsAndMisses pins the counters.
   std::size_t plan_cache_hits = 0;
   std::size_t plan_cache_misses = 0;
   /// Reusable buffer capacity the frame's slot arena retained at frame
@@ -212,7 +213,8 @@ struct ExecCounters {
   /// Frames that executed with zero tensor heap allocations. Steady state
   /// is every frame past its slot's warm-up window, so this must cover all
   /// but (at most) the first two windows per shard (one per ping-ponged
-  /// slot set); the bench gates on it.
+  /// slot set); arena_test's
+  /// PipelineArenaTest.SteadyStateFramesReportZeroAllocs pins it.
   std::size_t zero_alloc_frames = 0;
 };
 

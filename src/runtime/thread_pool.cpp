@@ -271,6 +271,11 @@ void ThreadPool::run_item(WorkDeque::Item& item, std::size_t worker_id) {
 void ThreadPool::signal_work() {
   work_epoch_.fetch_add(1, std::memory_order_seq_cst);
   if (parked_.load(std::memory_order_seq_cst) > 0) {
+    // A parking worker checks its predicate and blocks under park_mutex_.
+    // Passing through the mutex orders this notify after that block, so a
+    // worker that saw the old epoch cannot miss it. No caller holds a lock
+    // here, so this cannot deadlock.
+    { std::lock_guard<std::mutex> lock(park_mutex_); }
     park_cv_.notify_one();
   }
 }
@@ -333,9 +338,11 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
         std::unique_lock<std::mutex> lock(park_mutex_);
         parked_.fetch_add(1, std::memory_order_seq_cst);
         self.parks.fetch_add(1, std::memory_order_relaxed);
+        // seq_cst pairs with signal_work(): a submitter that saw parked_ == 0
+        // and skipped the notify bumped the epoch first, so this sees it.
         park_cv_.wait(lock, [this, epoch] {
           return stopping_.load(std::memory_order_relaxed) ||
-                 work_epoch_.load(std::memory_order_relaxed) != epoch;
+                 work_epoch_.load(std::memory_order_seq_cst) != epoch;
         });
         parked_.fetch_sub(1, std::memory_order_relaxed);
         // A notify_one may land on a worker whose work was already taken

@@ -24,7 +24,10 @@
 //   * A worker that finds no work anywhere parks on a condition variable.
 //     Submitters bump an epoch counter and notify ONLY when at least one
 //     worker is parked, so the steady-state submit path never touches the
-//     park mutex (wakeup on empty->non-empty transitions only).
+//     park mutex (wakeup on empty->non-empty transitions only). When one
+//     is parked, the submitter passes through the park mutex before it
+//     notifies, so a worker between its predicate check and its block
+//     cannot miss the wakeup.
 //
 // Determinism: the pool moves whole tasks between workers; it never splits
 // one. Every determinism-relevant reduction in the runtime happens in

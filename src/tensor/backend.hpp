@@ -4,16 +4,20 @@
 // anchor-scoring pass) ships in two implementations:
 //
 //   reference — the original guarded loops; ground truth, never removed.
-//   simd      — explicit 2/4-lane vector kernels (SSE2 baseline, AVX2 and
-//               NEON behind compile guards, `#pragma omp simd` elsewhere),
-//               with one raw-pointer scalar path (conv2d_rows_fast) for
-//               borders, tails and the shapes the vector loops skip.
+//   simd      — explicit vector kernels: SSE2 (or NEON) baseline, with AVX2
+//               variants picked at run time through cpu_has_avx2(). The
+//               conv puts adjacent output cells (3×3, stride 1) or adjacent
+//               output channels (every other shape) in the lanes; border
+//               cells, lane tails and leftover channels run the guarded
+//               scalar cell.
 //
 // The determinism contract has one tier: `simd` is bitwise equal to
 // `reference`. Each vector lane executes the scalar kernel's exact
 // operation chain in the same order, so per-lane IEEE arithmetic
-// reproduces the scalar stream bit for bit. Tests pin every kernel pair,
-// and the bench self-gates the sampled-frame max|Δ| every run.
+// reproduces the scalar stream bit for bit. conv_kernel_test and
+// anchors_nms_test pin every kernel pair; shard_test pins whole runs on
+// engines constructed with each backend; CI replays the whole suite under
+// ECO_BACKEND=reference.
 //
 // Selection: engines resolve `Backend::kAuto` to a concrete backend once at
 // construction (like scan-equivalence pinning), and FrameStream resolves it

@@ -1,10 +1,11 @@
-// Shared internals of the conv2d_rows kernel family (fast + simd TUs).
+// Shared internals of the conv2d_rows kernels (reference and simd TUs).
 //
-// The guarded border cell and the argument checks must be the *same code*
-// in every backend — the interior/border split is only bitwise stable if
-// border cells always run the one guarded chain. Header-inline so the simd
-// translation unit (compiled with its own flags) links against identical
-// definitions.
+// Both backends run the same argument checks. conv_cell_guarded is the
+// reference's per-cell loop over raw pointers; the simd kernels run it for
+// every border cell, lane tail and output channel after the last full
+// vector, so those cells are the reference's chain by construction.
+// Header-inline so the simd translation unit (compiled with its own flags)
+// links against identical definitions.
 #pragma once
 
 #include <cstddef>

@@ -61,117 +61,6 @@ void conv2d_rows_reference(const Tensor& input, const Tensor& weight,
   }
 }
 
-using detail::conv_cell_guarded;
-
-void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      std::size_t row_begin, std::size_t row_end, Tensor& out) {
-  require_conv_args(input, weight, bias, spec);
-  const std::size_t h = input.size(1), w = input.size(2);
-  const std::size_t oh = spec.out_extent(h), ow = spec.out_extent(w);
-  const std::size_t k = spec.kernel, s = spec.stride, p = spec.padding;
-  require(out.dim() == 3 && out.size(0) == spec.out_channels &&
-              out.size(1) == oh && out.size(2) == ow,
-          "conv2d_rows: output shape mismatch");
-  require(row_begin <= row_end && row_end <= oh,
-          "conv2d_rows: row range out of bounds");
-
-  // Interior output ranges: cells whose k×k window lies fully inside the
-  // input, i.e. o*s - p >= 0 and o*s - p + k <= extent. Everything outside
-  // is border and runs the guarded path.
-  const std::size_t oy_lo = std::min(oh, (p + s - 1) / s);
-  const std::size_t oy_hi =
-      (h + p >= k) ? std::min(oh, (h + p - k) / s + 1) : 0;
-  const std::size_t ox_lo = std::min(ow, (p + s - 1) / s);
-  const std::size_t ox_hi =
-      (w + p >= k) ? std::min(ow, (w + p - k) / s + 1) : 0;
-
-  const float* in = input.data();
-  const float* wt = weight.data();
-  float* out_data = out.data();
-  const std::size_t in_plane = h * w;
-  const std::size_t out_plane = oh * ow;
-  const std::size_t w_oc_stride = spec.in_channels * k * k;
-
-  for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
-    const float b = bias[oc];
-    const float* w_oc = wt + oc * w_oc_stride;
-    float* out_c = out_data + oc * out_plane;
-    for (std::size_t oy = row_begin; oy < row_end; ++oy) {
-      float* out_row = out_c + oy * ow;
-      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy * s) -
-                                 static_cast<std::ptrdiff_t>(p);
-      if (oy < oy_lo || oy >= oy_hi) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * s) -
-                                     static_cast<std::ptrdiff_t>(p);
-          out_row[ox] = conv_cell_guarded(in, w_oc, b, spec.in_channels, h, w,
-                                          k, iy0, ix0);
-        }
-        continue;
-      }
-      std::size_t ox = 0;
-      for (; ox < ox_lo; ++ox) {
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * s) -
-                                   static_cast<std::ptrdiff_t>(p);
-        out_row[ox] = conv_cell_guarded(in, w_oc, b, spec.in_channels, h, w, k,
-                                        iy0, ix0);
-      }
-      const float* in_y = in + static_cast<std::size_t>(iy0) * w;
-      if (k == 3) {
-        // Fully unrolled 3×3 taps per input channel; the += chain visits
-        // taps in the reference's ky→kx order.
-        for (; ox < ox_hi; ++ox) {
-          const std::size_t ix0 = ox * s - p;
-          float acc = b;
-          const float* in_c = in_y + ix0;
-          const float* w9 = w_oc;
-          for (std::size_t ic = 0; ic < spec.in_channels;
-               ++ic, in_c += in_plane, w9 += 9) {
-            const float* r0 = in_c;
-            const float* r1 = in_c + w;
-            const float* r2 = in_c + 2 * w;
-            acc += r0[0] * w9[0];
-            acc += r0[1] * w9[1];
-            acc += r0[2] * w9[2];
-            acc += r1[0] * w9[3];
-            acc += r1[1] * w9[4];
-            acc += r1[2] * w9[5];
-            acc += r2[0] * w9[6];
-            acc += r2[1] * w9[7];
-            acc += r2[2] * w9[8];
-          }
-          out_row[ox] = acc;
-        }
-      } else {
-        for (; ox < ox_hi; ++ox) {
-          const std::size_t ix0 = ox * s - p;
-          float acc = b;
-          const float* in_c = in_y + ix0;
-          const float* w_ic = w_oc;
-          for (std::size_t ic = 0; ic < spec.in_channels;
-               ++ic, in_c += in_plane, w_ic += k * k) {
-            const float* in_row = in_c;
-            const float* w_row = w_ic;
-            for (std::size_t ky = 0; ky < k; ++ky, in_row += w, w_row += k) {
-              for (std::size_t kx = 0; kx < k; ++kx) {
-                acc += in_row[kx] * w_row[kx];
-              }
-            }
-          }
-          out_row[ox] = acc;
-        }
-      }
-      for (; ox < ow; ++ox) {
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox * s) -
-                                   static_cast<std::ptrdiff_t>(p);
-        out_row[ox] = conv_cell_guarded(in, w_oc, b, spec.in_channels, h, w, k,
-                                        iy0, ix0);
-      }
-    }
-  }
-}
-
 void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  const Conv2dSpec& spec, std::size_t row_begin,
                  std::size_t row_end, Tensor& out) {

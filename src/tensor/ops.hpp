@@ -48,30 +48,22 @@ void conv2d_rows(const Tensor& input, const Tensor& weight, const Tensor& bias,
                  std::size_t row_end, Tensor& out);
 
 /// The original 7-deep bounds-checked loop, kept verbatim as the semantic
-/// ground truth; tests and the bench self-gate pin conv2d_rows_simd (and
-/// its scalar fallback conv2d_rows_fast) bitwise against it.
+/// ground truth; conv_kernel_test's ConvKernelEquivalence cases pin
+/// conv2d_rows_simd bitwise against it.
 void conv2d_rows_reference(const Tensor& input, const Tensor& weight,
                            const Tensor& bias, const Conv2dSpec& spec,
                            std::size_t row_begin, std::size_t row_end,
                            Tensor& out);
 
-/// Raw-pointer scalar kernel with an interior/border split — the scalar
-/// fallback of conv2d_rows_simd, not a selectable backend. Border cells
-/// (whose window may leave the padded input) keep the guarded reference
-/// path; interior cells run an unguarded, unrolled walk over contiguous
-/// input and weight rows. The ic→ky→kx accumulation order — a single float
-/// accumulator chain per cell — matches the reference exactly, so results
-/// are bitwise identical.
-void conv2d_rows_fast(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      std::size_t row_begin, std::size_t row_end, Tensor& out);
-
-/// Vectorized kernel (SSE2 baseline, AVX2/NEON behind compile guards): the
-/// k==3/s==1 interior computes four output cells per step, each lane
-/// running the scalar kernel's exact bias + 9-tap accumulation chain, with
-/// conv2d_rows_fast covering borders, tails, and every other shape.
-/// Bitwise identical to conv2d_rows_reference (the build disables FP
-/// contraction on this kernel's translation unit).
+/// Vectorized kernel, bitwise identical to conv2d_rows_reference (the build
+/// disables FP contraction on this kernel's translation unit). Each lane
+/// runs the reference's exact bias + ic→ky→kx chain for one output value:
+/// k==3/stride==1 puts adjacent output cells of one channel in the lanes
+/// (the stem convs); every other shape puts adjacent output channels of one
+/// cell in the lanes (the learned gate's stride-2 convs), with weights
+/// packed per call into thread-owned scratch. Borders, lane tails and
+/// channels past the last full vector run the guarded scalar cell. SSE2 (or
+/// NEON) baseline; the channel lanes widen to AVX2 when the CPU has it.
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);

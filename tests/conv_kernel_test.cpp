@@ -1,7 +1,9 @@
-// Pins the simd kernels and their scalar conv fallback (conv2d_rows_fast)
-// bitwise against the reference implementations across the awkward
-// geometries: odd extents, stride > 1, padding >= kernel/2 (and beyond the
-// kernel), 1x1 kernels, row-restricted and empty row ranges. The
+// Pins the simd kernels bitwise against the reference implementations
+// across the awkward geometries: odd extents, stride > 1, padding >=
+// kernel/2 (and beyond the kernel), 1x1 kernels, the learned gate's exact
+// conv shapes, output-channel counts that leave a remainder after the last
+// 4- and 8-lane vector, row-restricted and empty row ranges. Both conv lane
+// layouts (output cells for k3/s1, output channels otherwise) and their
 // interior/border split must be invisible — Tensor::equals (exact float
 // compare) throughout. Also pins ECO_BACKEND, the one knob that selects
 // between the two backends.
@@ -34,7 +36,7 @@ struct KernelCase {
 
 class ConvKernelEquivalence : public ::testing::TestWithParam<KernelCase> {};
 
-TEST_P(ConvKernelEquivalence, FastMatchesReferenceBitwise) {
+TEST_P(ConvKernelEquivalence, SimdMatchesReferenceBitwise) {
   const KernelCase c = GetParam();
   Conv2dSpec spec;
   spec.in_channels = c.in_channels;
@@ -51,21 +53,15 @@ TEST_P(ConvKernelEquivalence, FastMatchesReferenceBitwise) {
   ASSERT_GT(oh, 0u);
   ASSERT_GT(ow, 0u);
 
-  Tensor fast({spec.out_channels, oh, ow});
-  Tensor reference({spec.out_channels, oh, ow});
-  conv2d_rows_fast(input, weight, bias, spec, 0, oh, fast);
-  conv2d_rows_reference(input, weight, bias, spec, 0, oh, reference);
-  EXPECT_TRUE(fast.equals(reference))
-      << "k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
-      << " h=" << c.h << " w=" << c.w;
-
-  // The simd backend too — the vector interior plus its scalar tail (and
-  // the delegation to conv2d_rows_fast for other shapes) must be invisible.
+  // The vector lanes, their scalar tails and the guarded border and
+  // remainder-channel cells must be invisible.
   Tensor simd({spec.out_channels, oh, ow});
+  Tensor reference({spec.out_channels, oh, ow});
   conv2d_rows_simd(input, weight, bias, spec, 0, oh, simd);
+  conv2d_rows_reference(input, weight, bias, spec, 0, oh, reference);
   EXPECT_TRUE(simd.equals(reference))
       << "simd k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
-      << " h=" << c.h << " w=" << c.w;
+      << " h=" << c.h << " w=" << c.w << " cout=" << c.out_channels;
 
   // The dispatching entry point agrees too (simd unless
   // ECO_BACKEND=reference pins the reference, which is also exact).
@@ -118,25 +114,25 @@ TEST_P(ConvKernelEquivalence, RowRestrictedRangesMatchAndStayInRange) {
   const float sentinel = -123.5f;
   const std::size_t row_begin = oh / 3;
   const std::size_t row_end = oh - oh / 4;
-  Tensor fast = Tensor::full({spec.out_channels, oh, ow}, sentinel);
+  Tensor simd = Tensor::full({spec.out_channels, oh, ow}, sentinel);
   Tensor reference = Tensor::full({spec.out_channels, oh, ow}, sentinel);
-  conv2d_rows_fast(input, weight, bias, spec, row_begin, row_end, fast);
+  conv2d_rows_simd(input, weight, bias, spec, row_begin, row_end, simd);
   conv2d_rows_reference(input, weight, bias, spec, row_begin, row_end,
                         reference);
-  EXPECT_TRUE(fast.equals(reference));
+  EXPECT_TRUE(simd.equals(reference));
   // Rows outside the range are untouched in both.
   for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       if (oy >= row_begin && oy < row_end) continue;
       for (std::size_t ox = 0; ox < ow; ++ox) {
-        ASSERT_EQ(fast.at(oc, oy, ox), sentinel);
+        ASSERT_EQ(simd.at(oc, oy, ox), sentinel);
       }
     }
   }
 
   // An empty row range touches nothing at all.
   Tensor untouched = Tensor::full({spec.out_channels, oh, ow}, sentinel);
-  conv2d_rows_fast(input, weight, bias, spec, row_begin, row_begin, untouched);
+  conv2d_rows_simd(input, weight, bias, spec, row_begin, row_begin, untouched);
   EXPECT_TRUE(untouched.equals(
       Tensor::full({spec.out_channels, oh, ow}, sentinel)));
 }
@@ -147,6 +143,23 @@ INSTANTIATE_TEST_SUITE_P(
         // The stem shape (3x3, pad 1) and its batch form.
         KernelCase{1, 8, 3, 1, 1, 48, 48},
         KernelCase{8, 16, 3, 2, 1, 24, 24},
+        // The learned gate's three stride-2 convs, exactly.
+        KernelCase{32, 24, 3, 2, 1, 24, 24},
+        KernelCase{24, 24, 3, 2, 1, 12, 12},
+        KernelCase{24, 24, 3, 2, 1, 6, 6},
+        // Output channels left over after the last full vector: 6 is one
+        // 4-lane vector + 2 (and all remainder at 8 lanes), 10 is two
+        // 4-lane vectors + 2 (one 8-lane vector + 2), 12 is one 8-lane
+        // vector + 4, 40 spans more than one group of channel vectors at
+        // either width.
+        KernelCase{3, 6, 3, 2, 1, 9, 11},
+        KernelCase{4, 10, 3, 2, 1, 11, 8},
+        KernelCase{5, 12, 3, 2, 1, 10, 7},
+        KernelCase{2, 12, 5, 1, 2, 9, 13},
+        KernelCase{3, 40, 3, 2, 1, 9, 11},
+        // Padding beyond the kernel with channel lanes: whole rows and
+        // columns whose window misses the input keep just the bias.
+        KernelCase{2, 8, 5, 2, 5, 7, 7},
         // Odd extents, non-square.
         KernelCase{2, 3, 3, 1, 1, 5, 7},
         KernelCase{3, 2, 5, 1, 2, 9, 13},
