@@ -13,6 +13,8 @@
 #endif
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -25,6 +27,7 @@
 #include "gating/learned_gate.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -36,33 +39,62 @@ dataset::Frame test_frame() {
   return dataset::generate_frame(dataset::SceneType::kCity, config, 7);
 }
 
-// The learned gate's three stride-2 convs per backend (Arg 0-2 = 32->24
-// on 24x24, 24->24 on 12x12, 24->24 on 6x6, all k3/s2/p1). The backends
-// are pinned bitwise identical in tests; the ratio is the payoff of the
-// simd backend's output-channel lanes.
-struct GateConvShape {
-  std::size_t in_channels, out_channels, extent;
-};
-constexpr GateConvShape kGateConvShapes[] = {
-    {32, 24, 24}, {24, 24, 12}, {24, 24, 6}};
+gating::LearnedGateConfig gate_config(const core::EcoFusionEngine& engine,
+                                      bool attention) {
+  gating::LearnedGateConfig config;
+  config.in_channels = engine.stems().gate_channels();
+  config.num_configs = engine.config_space().size();
+  config.use_attention = attention;
+  return config;
+}
 
+// The committed Attention gate (perfbench/data/attention_gate.bin): the
+// trained weights the paper's path runs. A random init times none of what
+// trained weights cost, so a file that does not load aborts the run.
+gating::LearnedGate committed_attention_gate(
+    const core::EcoFusionEngine& engine) {
+  gating::LearnedGate gate(gate_config(engine, true));
+  if (!tensor::load_params(gate.parameters(), ECO_ATTENTION_GATE_BIN)) {
+    std::fprintf(stderr, "micro_benchmarks: cannot load %s\n",
+                 ECO_ATTENTION_GATE_BIN);
+    std::abort();
+  }
+  return gate;
+}
+
+// The committed gate's three stride-2 convs per backend (Arg 0-2 = 32->24
+// on 24x24, 24->24 on 12x12, 24->24 on 6x6, all k3/s2/p1), on trained
+// weights and real activations: a frame's gate features through the
+// preceding trained convs and ReLUs (conv 2 reads them without the attention
+// block the gate runs before it). The backends are pinned bitwise identical
+// in tests; the ratio is the payoff of the simd backend's output-channel
+// lanes.
 void gate_conv_bench(benchmark::State& state, tensor::Backend backend) {
-  const GateConvShape& shape =
-      kGateConvShapes[static_cast<std::size_t>(state.range(0))];
-  tensor::Conv2dSpec spec;
-  spec.in_channels = shape.in_channels;
-  spec.out_channels = shape.out_channels;
-  spec.stride = 2;
-  spec.backend = backend;
-  util::Rng rng(1);
-  tensor::Tensor input({shape.in_channels, shape.extent, shape.extent});
-  tensor::Tensor weight({shape.out_channels, shape.in_channels, 3, 3});
-  tensor::Tensor bias({shape.out_channels});
-  for (auto& v : input.vec()) v = rng.uniform_f(0.0f, 1.0f);
-  for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
-  for (auto& v : bias.vec()) v = rng.uniform_f(-0.5f, 0.5f);
-  const std::size_t oh = spec.out_extent(shape.extent);
-  tensor::Tensor out({shape.out_channels, oh, oh});
+  const auto layer = static_cast<std::size_t>(state.range(0));
+  const core::EcoFusionEngine engine;
+  gating::LearnedGate gate = committed_attention_gate(engine);
+  std::vector<const tensor::Tensor*> conv_params;  // weight, bias per conv
+  for (const tensor::Param* p : gate.parameters()) {
+    if (p->name.starts_with("conv.")) conv_params.push_back(&p->value);
+  }
+  const auto conv_spec = [&](std::size_t i) {
+    tensor::Conv2dSpec spec;
+    spec.in_channels = conv_params.at(2 * i)->size(1);
+    spec.out_channels = conv_params.at(2 * i)->size(0);
+    spec.stride = 2;
+    spec.backend = backend;
+    return spec;
+  };
+  tensor::Tensor input = engine.gate_features(test_frame());
+  for (std::size_t i = 0; i < layer; ++i) {
+    input = tensor::relu(tensor::conv2d(input, *conv_params[2 * i],
+                                        *conv_params[2 * i + 1], conv_spec(i)));
+  }
+  const tensor::Conv2dSpec spec = conv_spec(layer);
+  const tensor::Tensor& weight = *conv_params[2 * layer];
+  const tensor::Tensor& bias = *conv_params[2 * layer + 1];
+  const std::size_t oh = spec.out_extent(input.size(1));
+  tensor::Tensor out({spec.out_channels, oh, oh});
   for (auto _ : state) {
     tensor::conv2d_rows(input, weight, bias, spec, 0, oh, out);
     benchmark::DoNotOptimize(out.data());
@@ -332,14 +364,14 @@ void BM_WeightedBoxFusion(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedBoxFusion);
 
+// Arg 0 = Deep gate (random init: no Deep gate is committed), 1 = the
+// committed Attention gate.
 void BM_GateInference(benchmark::State& state) {
   const dataset::Frame frame = test_frame();
   const core::EcoFusionEngine engine;
-  gating::LearnedGateConfig config;
-  config.in_channels = engine.stems().gate_channels();
-  config.num_configs = engine.config_space().size();
-  config.use_attention = state.range(0) != 0;
-  gating::LearnedGate gate(config);
+  gating::LearnedGate gate =
+      state.range(0) == 0 ? gating::LearnedGate(gate_config(engine, false))
+                          : committed_attention_gate(engine);
   const tensor::Tensor features = engine.gate_features(frame);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gate.forward(features));

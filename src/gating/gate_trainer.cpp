@@ -61,6 +61,8 @@ GateTrainHistory train_gate(LearnedGate& gate,
       }
     }
   }
+  // Dead units' weights end near 1e-37, not at 0 (Adam in optim.hpp).
+  tensor::flush_negligible(gate.parameters());
   return history;
 }
 

@@ -50,7 +50,8 @@ struct GateTrainHistory {
   }
 };
 
-/// Trains the gate in place; returns the loss history.
+/// Trains the gate in place; returns the loss history. On return no
+/// parameter has 0 < |w| < tensor::kNegligibleParam (flush_negligible).
 GateTrainHistory train_gate(LearnedGate& gate,
                             const std::vector<GateExample>& examples,
                             const GateTrainConfig& config = {});

@@ -21,6 +21,18 @@ void Module::zero_grad() {
   for (Param* p : params) p->zero_grad();
 }
 
+void flush_negligible(const std::vector<Param*>& params) {
+  for (Param* p : params) {
+    float* w = p->value.data();
+    const std::size_t n = p->value.numel();
+    // A select, not a branch, so the loop vectorizes. fabs(NaN) < k is
+    // false, so NaN stays as it is.
+    for (std::size_t j = 0; j < n; ++j) {
+      w[j] = std::fabs(w[j]) < kNegligibleParam ? 0.0f : w[j];
+    }
+  }
+}
+
 void kaiming_uniform(Tensor& weight, std::size_t fan_in, util::Rng& rng) {
   const float bound =
       fan_in > 0 ? std::sqrt(6.0f / static_cast<float>(fan_in)) : 0.1f;

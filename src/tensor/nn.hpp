@@ -30,6 +30,21 @@ struct Param {
   }
 };
 
+/// Magnitude below which a trained or loaded parameter value is zeroed.
+/// L2-coupled Adam leaves the weights of dead ReLU units near 1e-37 (see
+/// Adam in optim.hpp). Their products with features are subnormal, and an
+/// x86 core takes a microcode assist for each one: on a Xeon they were over
+/// 80% of the trained Attention gate's forward. A product below
+/// 1e-30 · |x| is far under half an ulp of an accumulator holding a
+/// normal-sized bias or feature sum, so zeroing them changes no output bit
+/// of the committed gate (gate_flush_test).
+inline constexpr float kNegligibleParam = 1e-30f;
+
+/// Sets every parameter value with |w| < kNegligibleParam to +0. NaN, ±Inf
+/// and every |w| >= kNegligibleParam stay bit for bit. Called at the end of
+/// load_params and of gating::train_gate; it touches no FP control state.
+void flush_negligible(const std::vector<Param*>& params);
+
 /// Base class for all neural-network modules.
 class Module {
  public:

@@ -53,7 +53,16 @@ class Sgd final : public Optimizer {
   std::vector<Tensor> velocity_;
 };
 
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction. Weight decay is L2, coupled
+/// into the gradient (g = ∇w + wd·w), not decoupled as in AdamW.
+///
+/// So a weight whose loss gradient is always zero (one into or out of a
+/// dead ReLU unit) still moves: g = wd·w, m̂ ∝ w, and each step removes a
+/// fraction of w. It shrinks geometrically and never reaches 0. It stops
+/// only when lr·m̂ underflows to 0, which with the gate trainer's lr and wd
+/// happens at |w| ≈ 1e-38–1e-37. The products of such weights are
+/// subnormal, so train_gate and load_params zero them afterwards
+/// (flush_negligible in nn.hpp).
 class Adam final : public Optimizer {
  public:
   struct Options {

@@ -70,6 +70,7 @@ bool load_params(const std::vector<Param*>& params, const std::string& path) {
             static_cast<std::streamsize>(p->value.numel() * sizeof(float)));
     if (!in) return false;
   }
+  flush_negligible(params);
   return true;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/rng.hpp"
 
 namespace eco::gating {
@@ -112,6 +114,24 @@ TEST(GateTrainerTest, SelectionAccuracyBounds) {
   EXPECT_GE(acc, 0.0f);
   EXPECT_LE(acc, 1.0f);
   EXPECT_EQ(gate_selection_accuracy(gate, {}), 0.0f);
+}
+
+// L2-coupled Adam leaves the weights of dead units near 1e-37 instead of
+// at 0 (tensor/optim.hpp); train_gate must hand back none of them.
+TEST(GateTrainerTest, TrainedGateHasNoNegligibleWeights) {
+  for (const bool attention : {false, true}) {
+    LearnedGateConfig config = toy_gate_config();
+    config.use_attention = attention;
+    LearnedGate gate(config);
+    (void)train_gate(gate, toy_examples(20, 8), {});  // the default 80 epochs
+    std::size_t negligible = 0;
+    for (const tensor::Param* p : gate.parameters()) {
+      for (const float w : p->value.vec()) {
+        negligible += w != 0.0f && std::fabs(w) < tensor::kNegligibleParam;
+      }
+    }
+    EXPECT_EQ(negligible, 0u) << gate.name();
+  }
 }
 
 TEST(GateTrainerTest, AttentionVariantAlsoLearns) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "gating/learned_gate.hpp"
 #include "util/rng.hpp"
@@ -66,6 +70,39 @@ TEST(SerializeTest, CorruptMagicFails) {
   a.collect_params(pa);
   EXPECT_FALSE(load_params(pa, path));
   std::remove(path.c_str());
+}
+
+TEST(SerializeTest, LoadFlushesOnlyNegligibleValues) {
+  const auto from_bits = [](std::uint32_t bits) {
+    return std::bit_cast<float>(bits);
+  };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // Back bit for bit: NaN (with payloads and either sign), ±Inf and every
+  // |w| >= kNegligibleParam, exactly 1e-30 included.
+  const std::vector<float> kept = {
+      std::numeric_limits<float>::quiet_NaN(), from_bits(0xFFC12345u),
+      from_bits(0x7F800001u), kInf, -kInf, 1e-30f, -1e-30f, 0.5f, -3.25f,
+      FLT_MAX};
+  // Back as +0: everything below 1e-30, normal (FLT_MIN) or subnormal
+  // (FLT_TRUE_MIN), and -0.
+  const std::vector<float> flushed = {FLT_TRUE_MIN, -FLT_TRUE_MIN, FLT_MIN,
+                                      -FLT_MIN,     1e-31f,        -1e-31f,
+                                      9.99e-31f,    -0.0f};
+  std::vector<float> values = kept;
+  values.insert(values.end(), flushed.begin(), flushed.end());
+
+  Param saved{"values", Tensor::from_vector(std::vector<float>(values)), {}};
+  Param loaded{"values", Tensor({values.size()}), {}};
+  const std::string path = temp_path("eco_serialize_flush.bin");
+  ASSERT_TRUE(save_params({&saved}, path));
+  ASSERT_TRUE(load_params({&loaded}, path));
+  std::remove(path.c_str());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::uint32_t expected =
+        i < kept.size() ? std::bit_cast<std::uint32_t>(values[i]) : 0u;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(loaded.value[i]), expected)
+        << "value " << i << " (" << values[i] << ")";
+  }
 }
 
 TEST(SerializeTest, GateCheckpointRoundTrip) {
