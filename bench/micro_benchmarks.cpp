@@ -1,8 +1,8 @@
 // Microbenchmarks of the hot paths: tensor primitives (simd vs reference
-// conv kernels, blur, integral image, arena acquisition), RPN proposal
-// generation, ROI region extraction, weighted box fusion, the full branch
-// detector, gate inference, and a complete adaptive pass. These quantify
-// the simulator's own CPU cost (not the modelled PX2 cost).
+// gate convs and stem block, blur, integral image, arena acquisition), RPN
+// proposal generation, ROI region extraction, weighted box fusion, the full
+// branch detector, gate inference, and a complete adaptive pass. These
+// quantify the simulator's own CPU cost (not the modelled PX2 cost).
 //
 // Builds against Google Benchmark when available; otherwise CMake selects
 // the header-only shim (bench/bench_shim.hpp) with the same macros.
@@ -111,46 +111,34 @@ void BM_Conv2dGateSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dGateSimd)->Arg(0)->Arg(1)->Arg(2);
 
-// Simd vs reference conv kernel on a stem-shaped workload (equivalence is
-// pinned bitwise in tests).
-void conv_kernel_inputs(tensor::Tensor& input, tensor::Tensor& weight,
-                        tensor::Tensor& bias, tensor::Conv2dSpec& spec) {
-  util::Rng rng(11);
-  spec.in_channels = 8;
-  spec.out_channels = 8;
-  spec.kernel = 3;
-  spec.stride = 1;
-  spec.padding = 1;
-  input = tensor::Tensor({8, 48, 48});
-  weight = tensor::Tensor({8, 8, 3, 3});
-  bias = tensor::Tensor({8});
-  for (auto& v : input.vec()) v = rng.uniform_f(0.0f, 1.0f);
-  for (auto& v : weight.vec()) v = rng.uniform_f(-0.5f, 0.5f);
-}
-
-void BM_Conv2dRowsReference(benchmark::State& state) {
-  tensor::Tensor input, weight, bias;
-  tensor::Conv2dSpec spec;
-  conv_kernel_inputs(input, weight, bias, spec);
-  tensor::Tensor out({8, 48, 48});
+// The stem block per backend: gate_features_into on a real frame through a
+// warmed arena — four sensors, each a 3x3 conv into 8 channels, ReLU and
+// 2x2 max-pool into F. Simd runs the fused kernel, reference the
+// conv2d_rows_reference → ReLU → maxpool2x2_rows composition; tests pin the
+// two bitwise identical.
+void stem_features_bench(benchmark::State& state, tensor::Backend backend) {
+  core::StemConfig config;
+  config.backend = backend;
+  const core::StemBank stems(config);
+  const dataset::Frame frame = test_frame();
+  tensor::TensorArena arena;
+  (void)stems.gate_features_into(frame, arena);
   for (auto _ : state) {
-    tensor::conv2d_rows_reference(input, weight, bias, spec, 0, 48, out);
-    benchmark::DoNotOptimize(out.data());
+    arena.reset();
+    const tensor::Tensor& features = stems.gate_features_into(frame, arena);
+    benchmark::DoNotOptimize(features.data());
   }
 }
-BENCHMARK(BM_Conv2dRowsReference);
 
-void BM_Conv2dRowsSimd(benchmark::State& state) {
-  tensor::Tensor input, weight, bias;
-  tensor::Conv2dSpec spec;
-  conv_kernel_inputs(input, weight, bias, spec);
-  tensor::Tensor out({8, 48, 48});
-  for (auto _ : state) {
-    tensor::conv2d_rows_simd(input, weight, bias, spec, 0, 48, out);
-    benchmark::DoNotOptimize(out.data());
-  }
+void BM_StemFeaturesReference(benchmark::State& state) {
+  stem_features_bench(state, tensor::Backend::kReference);
 }
-BENCHMARK(BM_Conv2dRowsSimd);
+BENCHMARK(BM_StemFeaturesReference);
+
+void BM_StemFeaturesSimd(benchmark::State& state) {
+  stem_features_bench(state, tensor::Backend::kSimd);
+}
+BENCHMARK(BM_StemFeaturesSimd);
 
 void BM_BoxBlur3Reference(benchmark::State& state) {
   const dataset::Frame frame = test_frame();

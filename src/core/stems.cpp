@@ -1,9 +1,6 @@
 #include "core/stems.hpp"
 
-#include <algorithm>
-
-#include "tensor/nn.hpp"
-#include "util/rng.hpp"
+#include <stdexcept>
 
 namespace eco::core {
 
@@ -42,46 +39,55 @@ void set_stem_kernels(tensor::Tensor& weight, tensor::Tensor& bias) {
   bias.zero();
 }
 
-/// ReLU over rows [row_begin, row_end) of a CHW tensor; the per-element
-/// update matches tensor::relu exactly.
-void relu_rows(tensor::Tensor& t, std::size_t row_begin, std::size_t row_end) {
-  const std::size_t c = t.size(0), h = t.size(1), w = t.size(2);
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    float* row0 = t.data() + (ch * h + row_begin) * w;
-    for (std::size_t i = 0; i < (row_end - row_begin) * w; ++i) {
-      row0[i] = row0[i] > 0.0f ? row0[i] : 0.0f;
-    }
+/// (channels, H/2, W/2): the pooled extent of a (1, H, W) sensor grid.
+tensor::Shape pooled_shape(std::size_t channels, const tensor::Tensor& grid) {
+  if (grid.dim() != 3) {
+    throw std::invalid_argument("StemBank: sensor grid must be (1, H, W)");
   }
+  return {channels, grid.size(1) / 2, grid.size(2) / 2};
 }
 
 }  // namespace
 
-StemBank::StemBank(StemConfig config) : config_(config) {
-  util::Rng rng(config_.seed);
-  for (std::size_t s = 0; s < dataset::kNumSensors; ++s) {
-    Stem& stem = stems_[s];
-    stem.spec.in_channels = 1;
-    stem.spec.out_channels = config_.out_channels;
-    stem.spec.kernel = 3;
-    stem.spec.stride = 1;
-    stem.spec.padding = 1;
-    stem.spec.backend = tensor::resolve_backend(config_.backend);
-    stem.weight = tensor::Tensor(
-        {config_.out_channels, 1, stem.spec.kernel, stem.spec.kernel});
-    // Consume the rng exactly as the previous Conv2d-module bank did so the
-    // random-projection fallback (out_channels != 8) keeps its weights.
-    tensor::kaiming_uniform(stem.weight, stem.spec.kernel * stem.spec.kernel,
-                            rng);
-    stem.bias = tensor::Tensor({config_.out_channels});
-    if (config_.out_channels == 8) set_stem_kernels(stem.weight, stem.bias);
+StemBank::StemBank(StemConfig config)
+    : backend_(tensor::resolve_backend(config.backend)) {
+  for (Stem& stem : stems_) {
+    stem.weight = tensor::Tensor({out_channels(), 1, 3, 3});
+    stem.bias = tensor::Tensor({out_channels()});
+    set_stem_kernels(stem.weight, stem.bias);
   }
+}
+
+void StemBank::pool_rows(dataset::SensorKind kind, const tensor::Tensor& grid,
+                         std::size_t row_begin, std::size_t row_end,
+                         tensor::Tensor& out, std::size_t channel,
+                         tensor::TensorArena& scratch) const {
+  const Stem& stem = stems_[static_cast<std::size_t>(kind)];
+  if (backend_ != tensor::Backend::kReference) {
+    tensor::conv3x3_relu_pool_rows(grid, stem.weight, stem.bias, row_begin,
+                                   row_end, out, channel);
+    return;
+  }
+  // Pooled row p consumes conv rows 2p and 2p+1. ReLU over the whole
+  // intermediate also rectifies rows outside the range, which no pooled
+  // row in the range reads.
+  tensor::Conv2dSpec spec;
+  spec.out_channels = out_channels();
+  tensor::Tensor& conv = scratch.acquire(
+      {out_channels(), spec.out_extent(grid.size(1)),
+       spec.out_extent(grid.size(2))});
+  tensor::conv2d_rows_reference(grid, stem.weight, stem.bias, spec,
+                                2 * row_begin, 2 * row_end, conv);
+  tensor::relu_in_place(conv);
+  tensor::maxpool2x2_rows(conv, row_begin, row_end, out, channel);
 }
 
 tensor::Tensor StemBank::features(dataset::SensorKind kind,
                                   const tensor::Tensor& grid) const {
-  const Stem& stem = stems_[static_cast<std::size_t>(kind)];
-  return tensor::maxpool2x2(
-      tensor::relu(tensor::conv2d(grid, stem.weight, stem.bias, stem.spec)));
+  tensor::TensorArena scratch;
+  tensor::Tensor out(pooled_shape(out_channels(), grid));
+  pool_rows(kind, grid, 0, out.size(1), out, 0, scratch);
+  return out;
 }
 
 tensor::Tensor StemBank::gate_features(const dataset::Frame& frame) const {
@@ -91,40 +97,18 @@ tensor::Tensor StemBank::gate_features(const dataset::Frame& frame) const {
 
 const tensor::Tensor& StemBank::gate_features_into(
     const dataset::Frame& frame, tensor::TensorArena& arena) const {
-  // Conv outputs are acquired with their exact shapes up front so
-  // conv2d_batch never resizes them, then rectified in place and pooled /
-  // concatenated into further arena tensors. Each step runs the identical
-  // per-cell arithmetic as the allocating pipeline (relu_in_place ==
-  // relu, maxpool2x2_into == maxpool2x2, concat_channels_into ==
-  // concat_channels), so F is bitwise unchanged.
-  std::array<tensor::Tensor*, dataset::kNumSensors> conv_out{};
-  std::vector<tensor::Conv2dBatchItem> batch;
-  batch.reserve(dataset::kNumSensors);
-  const tensor::Conv2dSpec& spec = stems_.front().spec;
-  for (dataset::SensorKind kind : dataset::all_sensor_kinds()) {
-    const auto s = static_cast<std::size_t>(kind);
-    const tensor::Tensor& grid = frame.grid(kind);
-    conv_out[s] = &arena.acquire({spec.out_channels,
-                                  spec.out_extent(grid.size(1)),
-                                  spec.out_extent(grid.size(2))});
-    batch.push_back({&grid, &stems_[s].weight, &stems_[s].bias, conv_out[s]});
-  }
-  tensor::conv2d_batch(batch, spec);
-  std::vector<const tensor::Tensor*> parts;
-  parts.reserve(dataset::kNumSensors);
-  for (std::size_t s = 0; s < dataset::kNumSensors; ++s) {
-    tensor::relu_in_place(*conv_out[s]);
-    tensor::Tensor& pooled = arena.acquire(
-        {conv_out[s]->size(0), conv_out[s]->size(1) / 2,
-         conv_out[s]->size(2) / 2});
-    tensor::maxpool2x2_into(*conv_out[s], pooled);
-    parts.push_back(&pooled);
-  }
-  std::size_t channels = 0;
-  for (const tensor::Tensor* p : parts) channels += p->size(0);
+  const tensor::Tensor& first = frame.grid(dataset::SensorKind::kCameraLeft);
   tensor::Tensor& features =
-      arena.acquire({channels, parts.front()->size(1), parts.front()->size(2)});
-  tensor::concat_channels_into(parts, features);
+      arena.acquire(pooled_shape(gate_channels(), first));
+  for (std::size_t s = 0; s < dataset::kNumSensors; ++s) {
+    const auto kind = static_cast<dataset::SensorKind>(s);
+    const tensor::Tensor& grid = frame.grid(kind);
+    if (grid.shape() != first.shape()) {
+      throw std::invalid_argument("StemBank: sensor grids differ in extent");
+    }
+    pool_rows(kind, grid, 0, features.size(1), features, s * out_channels(),
+              arena);
+  }
   return features;
 }
 
@@ -132,18 +116,11 @@ void StemBank::refresh_feature_rows(dataset::SensorKind kind,
                                     const tensor::Tensor& grid,
                                     std::size_t row_begin, std::size_t row_end,
                                     tensor::Tensor& pooled) const {
-  if (row_begin >= row_end) return;
-  const Stem& stem = stems_[static_cast<std::size_t>(kind)];
-  const std::size_t oh = stem.spec.out_extent(grid.size(1));
-  const std::size_t ow = stem.spec.out_extent(grid.size(2));
-  // Pooled row p consumes conv rows 2p and 2p+1.
-  const std::size_t conv_begin = row_begin * 2;
-  const std::size_t conv_end = std::min(oh, row_end * 2);
-  tensor::Tensor conv({stem.spec.out_channels, oh, ow});
-  tensor::conv2d_rows(grid, stem.weight, stem.bias, stem.spec, conv_begin,
-                      conv_end, conv);
-  relu_rows(conv, conv_begin, conv_end);
-  tensor::maxpool2x2_rows(conv, row_begin, row_end, pooled);
+  if (pooled.shape() != pooled_shape(out_channels(), grid)) {
+    throw std::invalid_argument("StemBank: pooled shape mismatch");
+  }
+  tensor::TensorArena scratch;
+  pool_rows(kind, grid, row_begin, row_end, pooled, 0, scratch);
 }
 
 }  // namespace eco::core

@@ -2,8 +2,8 @@
 //
 // PR 4 seeded this direction with a per-frame ScanScratch (blur + integral
 // buffers); a FrameArena generalizes it into the full per-frame memory
-// plane: a TensorArena for every per-frame tensor (stem conv outputs,
-// pooled maps, the gate-feature concatenation) plus the persistent
+// plane: a TensorArena for every per-frame tensor (the gate features F,
+// and the stem conv outputs on the reference backend) plus the persistent
 // ScanScratch every channel scan of the frame writes through. The streaming
 // pipeline owns one FrameArena per window slot and hands it to each
 // FrameWorkspace occupying that slot, so the buffers persist across frames:

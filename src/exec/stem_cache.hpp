@@ -8,12 +8,21 @@
 // diffs the incoming frame against it row-by-row, and recomputes only the
 // pooled feature rows the dirty input rows can reach via
 // StemBank::refresh_feature_rows. Unchanged rows are copied from the cached
-// features. Because the refresh path runs the identical per-cell arithmetic
-// as a full stem pass (see tensor::conv2d_rows), a delta-refreshed F is
-// bitwise equal to StemBank::gate_features(frame) — caching is invisible in
-// results, which is what lets the streaming pipeline keep its determinism
-// contract with the cache on or off. When a sequence is unknown (first
-// frame, or evicted) the cache falls back to an exact full recompute.
+// features. Because the refresh path computes a pooled row exactly as a
+// full stem pass does (see tensor::conv3x3_relu_pool_rows), a
+// delta-refreshed F is bitwise equal to StemBank::gate_features(frame) —
+// caching is invisible in results, which is what lets the streaming
+// pipeline keep its determinism contract with the cache on or off. When a
+// sequence is unknown (first frame, or evicted) the cache falls back to an
+// exact full recompute.
+//
+// What it saves in practice: on a stream with the configuration of the
+// benchmark's attention_budget_stream (seed 1, 2,048 frames) — the only
+// benchmark workload whose gate pulls F — the cache records 1,920 hits,
+// 184,320 refreshed rows (= 1,920 × 4 sensors × 24 rows) and 0 reused
+// sensor maps. Every frame redraws dense sensor noise on every row, so
+// every hit refreshes every row and the cache saves no stem work; it only
+// adds the row diff and the copies.
 //
 // Thread safety: lookups/stores lock a mutex; feature computation happens
 // outside the lock. Entries are shared_ptr so an eviction never invalidates

@@ -1,9 +1,9 @@
 // Frame-scoped tensor arena.
 //
 // The execution layer produces the same family of intermediate tensors for
-// every frame — stem conv outputs, pooled feature maps, the concatenated
-// gate input, scan blur buffers — and before this layer each of them was a
-// fresh heap allocation. A TensorArena is a monotonic bump allocator over a
+// every frame — the gate features F (and, on the reference backend, the
+// stem conv outputs), scan blur buffers — and before this layer each of
+// them was a fresh heap allocation. A TensorArena is a monotonic bump allocator over a
 // pool of reusable Tensors: acquire() hands out the next pooled tensor
 // resized to the requested shape (contents unspecified), and reset() — the
 // frame boundary — makes every slot available again while keeping its

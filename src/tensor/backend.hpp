@@ -1,23 +1,24 @@
 // Kernel backend seam.
 //
-// Every hot kernel (conv2d_rows, box_blur3, IntegralImage::reset, the RPN
-// anchor-scoring pass) ships in two implementations:
+// Every hot kernel (conv2d_rows, the stem block, box_blur3,
+// IntegralImage::reset, the RPN anchor-scoring pass) ships in two
+// implementations:
 //
 //   reference — the original guarded loops; ground truth, never removed.
 //   simd      — explicit vector kernels: SSE2 (or NEON) baseline, with AVX2
 //               variants picked at run time through cpu_has_avx2(). The
-//               conv puts adjacent output cells (3×3, stride 1) or adjacent
-//               output channels (every other shape) in the lanes; border
-//               cells, lane tails and leftover channels run the guarded
-//               scalar cell.
+//               conv puts adjacent output channels in the lanes, with
+//               leftover channels on the guarded scalar cell; the fused
+//               stem block (conv3x3_relu_pool_rows) puts adjacent output
+//               cells in the lanes over zero-padded rows.
 //
 // The determinism contract has one tier: `simd` is bitwise equal to
 // `reference`. Each vector lane executes the scalar kernel's exact
 // operation chain in the same order, so per-lane IEEE arithmetic
-// reproduces the scalar stream bit for bit. conv_kernel_test and
-// anchors_nms_test pin every kernel pair; shard_test pins whole runs on
-// engines constructed with each backend; CI replays the whole suite under
-// ECO_BACKEND=reference.
+// reproduces the scalar stream bit for bit. conv_kernel_test,
+// stem_kernel_test and anchors_nms_test pin every kernel pair; shard_test
+// pins whole runs on engines constructed with each backend; CI replays the
+// whole suite under ECO_BACKEND=reference.
 //
 // Selection: engines resolve `Backend::kAuto` to a concrete backend once at
 // construction (like scan-equivalence pinning), and FrameStream resolves it

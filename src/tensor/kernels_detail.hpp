@@ -1,9 +1,10 @@
 // Shared internals of the conv2d_rows kernels (reference and simd TUs).
 //
 // Both backends run the same argument checks. conv_cell_guarded is the
-// reference's per-cell loop over raw pointers; the simd kernels run it for
-// every border cell, lane tail and output channel after the last full
-// vector, so those cells are the reference's chain by construction.
+// reference's per-cell loop over raw pointers; the simd conv runs it for
+// every output channel after the last full vector (and the stem block for
+// every cell on builds without a vector ISA), so those cells are the
+// reference's chain by construction.
 // Header-inline so the simd translation unit (compiled with its own flags)
 // links against identical definitions.
 #pragma once

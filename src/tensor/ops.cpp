@@ -81,24 +81,6 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   return out;
 }
 
-void conv2d_batch(std::vector<Conv2dBatchItem>& items, const Conv2dSpec& spec) {
-  for (Conv2dBatchItem& item : items) {
-    require(item.input != nullptr && item.weight != nullptr &&
-                item.bias != nullptr && item.output != nullptr,
-            "conv2d_batch: null item pointer");
-    require_conv_args(*item.input, *item.weight, *item.bias, spec);
-    const std::size_t oh = spec.out_extent(item.input->size(1));
-    const std::size_t ow = spec.out_extent(item.input->size(2));
-    if (item.output->shape() != Shape{spec.out_channels, oh, ow}) {
-      // Every output cell is written below, so capacity-reusing resize is
-      // enough (arena outputs never re-allocate here).
-      item.output->resize({spec.out_channels, oh, ow});
-    }
-    conv2d_rows(*item.input, *item.weight, *item.bias, spec, 0, oh,
-                *item.output);
-  }
-}
-
 Tensor conv2d_backward(const Tensor& input, const Tensor& weight,
                        const Tensor& grad_output, const Conv2dSpec& spec,
                        Tensor& grad_weight, Tensor& grad_bias) {
@@ -168,31 +150,24 @@ Tensor relu_backward(const Tensor& input, const Tensor& grad_output) {
 }
 
 Tensor maxpool2x2(const Tensor& input) {
-  Tensor out;
-  maxpool2x2_into(input, out);
+  require(input.dim() == 3, "maxpool2x2: input must be CHW");
+  Tensor out({input.size(0), input.size(1) / 2, input.size(2) / 2});
+  maxpool2x2_rows(input, 0, out.size(1), out);
   return out;
 }
 
-void maxpool2x2_into(const Tensor& input, Tensor& out) {
-  require(input.dim() == 3, "maxpool2x2: input must be CHW");
-  const std::size_t c = input.size(0), h = input.size(1), w = input.size(2);
-  const std::size_t oh = h / 2, ow = w / 2;
-  require(oh > 0 && ow > 0, "maxpool2x2: input too small");
-  out.resize({c, oh, ow});
-  maxpool2x2_rows(input, 0, oh, out);
-}
-
 void maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
-                     std::size_t row_end, Tensor& out) {
+                     std::size_t row_end, Tensor& out, std::size_t channel) {
   require(input.dim() == 3 && out.dim() == 3, "maxpool2x2_rows: CHW expected");
-  const std::size_t c = out.size(0), oh = out.size(1), ow = out.size(2);
+  const std::size_t c = input.size(0), oh = out.size(1), ow = out.size(2);
   const std::size_t h = input.size(1), w = input.size(2);
-  require(input.size(0) == c && oh <= h / 2 && ow <= w / 2,
+  require(h >= 2 && w >= 2, "maxpool2x2_rows: input too small");
+  require(channel + c <= out.size(0) && oh <= h / 2 && ow <= w / 2,
           "maxpool2x2_rows: output shape mismatch");
   require(row_begin <= row_end && row_end <= oh,
           "maxpool2x2_rows: row range out of bounds");
   const float* in = input.data();
-  float* o = out.data();
+  float* o = out.data() + channel * oh * ow;
   for (std::size_t ch = 0; ch < c; ++ch) {
     const float* in_c = in + ch * h * w;
     float* out_c = o + ch * oh * ow;

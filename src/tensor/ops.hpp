@@ -36,9 +36,10 @@ struct Conv2dSpec {
 /// Row-restricted conv2d: computes output rows [row_begin, row_end) into a
 /// preallocated `out` of shape (C_out, H_out, W_out); rows outside the range
 /// are left untouched. conv2d() is implemented on top of this, so the
-/// per-cell arithmetic (and therefore the result, bitwise) is identical —
-/// this is what lets the temporal stem cache refresh only the rows a frame
-/// delta touched and still honour the pipeline's determinism contract.
+/// per-cell arithmetic (and therefore the result, bitwise) is identical
+/// for any row range — the stem bank's reference backend relies on this
+/// when the temporal stem cache refreshes only the rows a frame delta
+/// touched.
 ///
 /// Dispatches on spec.backend (kAuto resolves from ECO_BACKEND) to
 /// conv2d_rows_simd or conv2d_rows_reference; both produce
@@ -57,32 +58,34 @@ void conv2d_rows_reference(const Tensor& input, const Tensor& weight,
 
 /// Vectorized kernel, bitwise identical to conv2d_rows_reference (the build
 /// disables FP contraction on this kernel's translation unit). Each lane
-/// runs the reference's exact bias + ic→ky→kx chain for one output value:
-/// k==3/stride==1 puts adjacent output cells of one channel in the lanes
-/// (the stem convs); every other shape puts adjacent output channels of one
-/// cell in the lanes (the learned gate's stride-2 convs), with weights
-/// packed per call into thread-owned scratch. Borders, lane tails and
-/// channels past the last full vector run the guarded scalar cell. SSE2 (or
-/// NEON) baseline; the channel lanes widen to AVX2 when the CPU has it.
+/// runs the reference's exact bias + ic→ky→kx chain for one output value,
+/// with adjacent output channels of one cell in the lanes and weights
+/// packed per call into thread-owned scratch. Channels past the last full
+/// vector run the guarded scalar cell. SSE2 (or NEON) baseline; the lanes
+/// widen to AVX2 when the CPU has it.
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       std::size_t row_begin, std::size_t row_end, Tensor& out);
 
-/// One sample of a batched convolution. Weights may differ per item (the
-/// stem bank convolves four sensors with four kernel sets in one call);
-/// `output` is resized and filled by conv2d_batch.
-struct Conv2dBatchItem {
-  const Tensor* input = nullptr;
-  const Tensor* weight = nullptr;
-  const Tensor* bias = nullptr;
-  Tensor* output = nullptr;
-};
+/// Output channels of conv3x3_relu_pool_rows: the stem bank's fixed filters.
+inline constexpr std::size_t kStemChannels = 8;
 
-/// Batched conv2d entry point: runs every item under one spec. Results are
-/// bitwise identical to per-item conv2d() calls; the batch form exists so
-/// callers executing many frames (or many sensors) against the same layer
-/// shape pay validation/dispatch once and keep the inner loops hot.
-void conv2d_batch(std::vector<Conv2dBatchItem>& items, const Conv2dSpec& spec);
+/// The fused stem block: a 3×3, stride-1, pad-1 conv of a (1, H, W) input
+/// into kStemChannels channels (weight (8, 1, 3, 3), bias (8)), ReLU and a
+/// 2×2 max-pool. Writes pooled rows [row_begin, row_end) of channels
+/// [channel, channel + 8) of `out`, shape (C, H/2, W/2); every other value
+/// of `out` is untouched. Bitwise equal to conv2d_rows_reference, then
+/// ReLU, then maxpool2x2_rows (odd extents drop the last conv row or
+/// column). Each vector lane runs the reference's bias → ky → kx chain for
+/// one conv cell over zero-padded rows. A padded tap adds ±0, and ReLU maps
+/// a resulting −0 to +0, which is exact only for finite weights (0·Inf is
+/// NaN): non-finite weights throw std::invalid_argument, as do H < 2,
+/// W < 2 and any shape or range mismatch. SSE2 (or NEON) baseline, AVX2
+/// when the CPU has it.
+void conv3x3_relu_pool_rows(const Tensor& input, const Tensor& weight,
+                            const Tensor& bias, std::size_t row_begin,
+                            std::size_t row_end, Tensor& out,
+                            std::size_t channel);
 
 /// conv2d backward. Given d(loss)/d(output), fills gradients (accumulating
 /// into grad_weight / grad_bias) and returns d(loss)/d(input).
@@ -100,18 +103,17 @@ void relu_in_place(Tensor& t) noexcept;
 [[nodiscard]] Tensor relu_backward(const Tensor& input,
                                    const Tensor& grad_output);
 
-/// 2x2 max pooling with stride 2 (floor semantics). input: CHW.
+/// 2x2 max pooling with stride 2 (floor semantics). input: CHW, at least
+/// 2x2.
 [[nodiscard]] Tensor maxpool2x2(const Tensor& input);
-/// Same pooling into a caller-owned output (resized when needed; arena
-/// tensors keep their capacity). Bitwise identical to maxpool2x2().
-void maxpool2x2_into(const Tensor& input, Tensor& out);
-/// Row-restricted pooling: output rows [row_begin, row_end) of a
-/// preallocated `out` of shape (C, H/2, W/2); other rows untouched. The
-/// single definition of the per-cell max chain — maxpool2x2_into and the
-/// temporal stem cache's row refresh both run through it, which is what
-/// keeps partial refresh bitwise equal to full pooling.
+/// Row-restricted pooling: output rows [row_begin, row_end) of channels
+/// [channel, channel + C) of a preallocated `out` of shape (≥ channel + C,
+/// H/2, W/2); everything else untouched. The single definition of the
+/// per-cell max chain — maxpool2x2 and the stem bank's reference backend
+/// both run through it.
 void maxpool2x2_rows(const Tensor& input, std::size_t row_begin,
-                     std::size_t row_end, Tensor& out);
+                     std::size_t row_end, Tensor& out,
+                     std::size_t channel = 0);
 [[nodiscard]] Tensor maxpool2x2_backward(const Tensor& input,
                                          const Tensor& grad_output);
 

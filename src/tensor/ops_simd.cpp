@@ -1,7 +1,8 @@
-// Vectorized conv2d_rows kernel (Backend::kSimd).
+// Vectorized kernels of the simd backend: conv2d_rows (Backend::kSimd) and
+// the fused stem block conv3x3_relu_pool_rows.
 //
-// Every lane executes conv2d_rows_reference's exact accumulation chain for
-// one output value —
+// Every lane executes the reference's exact accumulation chain for one
+// output value —
 //
 //   acc = bias; acc = acc + in[tap] * w[tap];   (taps in ic→ky→kx order)
 //
@@ -10,27 +11,30 @@
 // translation unit is compiled with -ffp-contract=off so no FMA contraction
 // can perturb the chain). Two lane layouts share that contract:
 //
-// * Lane per output cell, for k==3 / stride==1 (the stem convs). The
-//   interior computes four adjacent output cells of one channel at once;
-//   with stride 1 the lane loads are four consecutive cells' taps, i.e. an
-//   unaligned contiguous load at the scalar tap pointer. Borders and lane
-//   tails run the guarded scalar cell.
-// * Lane per output channel, for every other shape (the learned gate's
-//   stride-2 convs). Weights are packed per call into [ic][ky][kx][oc], so
-//   one vector load fetches a tap's weights for adjacent output channels
-//   and one broadcast feeds them the tap's input. Each cell walks only its
-//   in-bounds taps — exactly the ones the reference's skip conditions keep,
-//   in the same order — so padded borders and any stride vectorize too.
-//   Several channel vectors of one cell advance together, which keeps the
-//   vector units busy while each lane's dependent add chain retires.
-//   Channels after the last full vector run the guarded scalar cell.
+// * Lane per output channel, for conv2d_rows (the learned gate's stride-2
+//   convs, and any other shape). Weights are packed per call into
+//   [ic][ky][kx][oc], so one vector load fetches a tap's weights for
+//   adjacent output channels and one broadcast feeds them the tap's input.
+//   Each cell walks only its in-bounds taps — exactly the ones the
+//   reference's skip conditions keep, in the same order — so padded borders
+//   and any stride vectorize too. Several channel vectors of one cell
+//   advance together, which keeps the vector units busy while each lane's
+//   dependent add chain retires. Channels after the last full vector run
+//   the guarded scalar cell.
+// * Lane per output cell, for the fused stem block (3×3, stride 1, one
+//   input channel, eight output channels). With stride 1 a tap's lanes are
+//   an unaligned contiguous load from a zero-padded copy of the input rows,
+//   and all eight channel accumulators advance on each load. Two conv rows
+//   at a time are rectified and max-ed into L1-sized scratch, then pooled
+//   column pairs go straight into the output's channel slice.
 //
 // ISA widening: the TU is built for the baseline target (SSE2 on x86-64,
-// or NEON), with the AVX2 channel-lane variant compiled through a
-// function-level target attribute and selected at runtime through
-// cpu_has_avx2(), as in detect/rpn_simd.cpp. Widening lanes never changes a
-// result — every lane still runs the same exact chain.
+// or NEON), with AVX2 variants compiled through a function-level target
+// attribute and selected at runtime through cpu_has_avx2(), as in
+// detect/rpn_simd.cpp. Widening lanes never changes a result — every lane
+// still runs the same exact chain.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <type_traits>
 #include <vector>
@@ -69,6 +73,16 @@ inline void vec4_store(float* p, Vec4 v) { _mm_storeu_ps(p, v); }
 inline Vec4 vec4_add_mul(Vec4 acc, Vec4 x, Vec4 w) {
   return _mm_add_ps(acc, _mm_mul_ps(x, w));
 }
+/// The reference's ReLU, `v > 0 ? v : 0`: maxps returns its second operand
+/// unless the first is greater, so NaN and −0 become +0.
+inline Vec4 vec4_relu(Vec4 v) { return _mm_max_ps(v, _mm_setzero_ps()); }
+/// Max of two ReLU outputs (never NaN or −0, so operand order is moot).
+inline Vec4 vec4_max(Vec4 a, Vec4 b) { return _mm_max_ps(a, b); }
+/// Max of adjacent pairs: (a0∨a1, a2∨a3, b0∨b1, b2∨b3), ReLU outputs only.
+inline Vec4 vec4_pair_max(Vec4 a, Vec4 b) {
+  return _mm_max_ps(_mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                    _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+}
 #elif defined(__ARM_NEON)
 #define ECO_HAVE_VEC4 1
 using Vec4 = float32x4_t;
@@ -79,125 +93,21 @@ inline void vec4_store(float* p, Vec4 v) { vst1q_f32(p, v); }
 inline Vec4 vec4_add_mul(Vec4 acc, Vec4 x, Vec4 w) {
   return vaddq_f32(acc, vmulq_f32(x, w));
 }
+/// The reference's ReLU, `v > 0 ? v : 0` (vmaxq would keep NaN).
+inline Vec4 vec4_relu(Vec4 v) {
+  const Vec4 zero = vdupq_n_f32(0.0f);
+  return vbslq_f32(vcgtq_f32(v, zero), v, zero);
+}
+/// Max of two ReLU outputs (never NaN or −0, so operand order is moot).
+inline Vec4 vec4_max(Vec4 a, Vec4 b) { return vmaxq_f32(a, b); }
+/// Max of adjacent pairs: (a0∨a1, a2∨a3, b0∨b1, b2∨b3), ReLU outputs only.
+inline Vec4 vec4_pair_max(Vec4 a, Vec4 b) {
+  const float32x4x2_t halves = vuzpq_f32(a, b);
+  return vmaxq_f32(halves.val[0], halves.val[1]);
+}
 #endif
 
-// ---- lane per output cell: k==3, stride==1 ----------------------------------
-
-/// Vectorized k==3, stride==1 interior span: writes out_row[ox_lo, ox_hi).
-/// `in_y` points at the input row iy0 (already offset for padding).
-inline void conv3x1_interior_span(const float* in_y, const float* w_oc,
-                                  float bias_value, std::size_t in_channels,
-                                  std::size_t in_plane, std::size_t w,
-                                  std::size_t p, std::size_t ox_lo,
-                                  std::size_t ox_hi, float* out_row) {
-  std::size_t ox = ox_lo;
-#if defined(ECO_HAVE_VEC4)
-  for (; ox + 4 <= ox_hi; ox += 4) {
-    Vec4 acc = vec4_splat(bias_value);
-    const float* in_c = in_y + (ox - p);
-    const float* w9 = w_oc;
-    for (std::size_t ic = 0; ic < in_channels;
-         ++ic, in_c += in_plane, w9 += 9) {
-      const float* r0 = in_c;
-      const float* r1 = in_c + w;
-      const float* r2 = in_c + 2 * w;
-      acc = vec4_add_mul(acc, vec4_load(r0), vec4_splat(w9[0]));
-      acc = vec4_add_mul(acc, vec4_load(r0 + 1), vec4_splat(w9[1]));
-      acc = vec4_add_mul(acc, vec4_load(r0 + 2), vec4_splat(w9[2]));
-      acc = vec4_add_mul(acc, vec4_load(r1), vec4_splat(w9[3]));
-      acc = vec4_add_mul(acc, vec4_load(r1 + 1), vec4_splat(w9[4]));
-      acc = vec4_add_mul(acc, vec4_load(r1 + 2), vec4_splat(w9[5]));
-      acc = vec4_add_mul(acc, vec4_load(r2), vec4_splat(w9[6]));
-      acc = vec4_add_mul(acc, vec4_load(r2 + 1), vec4_splat(w9[7]));
-      acc = vec4_add_mul(acc, vec4_load(r2 + 2), vec4_splat(w9[8]));
-    }
-    vec4_store(out_row + ox, acc);
-  }
-#endif
-  // Lane tail (and the whole span on scalar-only builds): the same
-  // unrolled chain, one cell at a time.
-  for (; ox < ox_hi; ++ox) {
-    float acc = bias_value;
-    const float* in_c = in_y + (ox - p);
-    const float* w9 = w_oc;
-    for (std::size_t ic = 0; ic < in_channels;
-         ++ic, in_c += in_plane, w9 += 9) {
-      const float* r0 = in_c;
-      const float* r1 = in_c + w;
-      const float* r2 = in_c + 2 * w;
-      acc += r0[0] * w9[0];
-      acc += r0[1] * w9[1];
-      acc += r0[2] * w9[2];
-      acc += r1[0] * w9[3];
-      acc += r1[1] * w9[4];
-      acc += r1[2] * w9[5];
-      acc += r2[0] * w9[6];
-      acc += r2[1] * w9[7];
-      acc += r2[2] * w9[8];
-    }
-    out_row[ox] = acc;
-  }
-}
-
-void conv_rows_cell_lanes(const Tensor& input, const Tensor& weight,
-                          const Tensor& bias, const Conv2dSpec& spec,
-                          std::size_t row_begin, std::size_t row_end,
-                          Tensor& out) {
-  const std::size_t h = input.size(1), w = input.size(2);
-  const std::size_t oh = out.size(1), ow = out.size(2);
-  const std::size_t k = spec.kernel, p = spec.padding;
-
-  // Interior ranges: cells whose 3×3 window lies fully inside the input.
-  const std::size_t oy_lo = std::min(oh, p);
-  const std::size_t oy_hi = (h + p >= k) ? std::min(oh, h + p - k + 1) : 0;
-  const std::size_t ox_lo = std::min(ow, p);
-  const std::size_t ox_hi = (w + p >= k) ? std::min(ow, w + p - k + 1) : 0;
-
-  const float* in = input.data();
-  const float* wt = weight.data();
-  float* out_data = out.data();
-  const std::size_t in_plane = h * w;
-  const std::size_t out_plane = oh * ow;
-  const std::size_t w_oc_stride = spec.in_channels * k * k;
-
-  for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
-    const float b = bias[oc];
-    const float* w_oc = wt + oc * w_oc_stride;
-    float* out_c = out_data + oc * out_plane;
-    for (std::size_t oy = row_begin; oy < row_end; ++oy) {
-      float* out_row = out_c + oy * ow;
-      const std::ptrdiff_t iy0 = static_cast<std::ptrdiff_t>(oy) -
-                                 static_cast<std::ptrdiff_t>(p);
-      if (oy < oy_lo || oy >= oy_hi) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox) -
-                                     static_cast<std::ptrdiff_t>(p);
-          out_row[ox] = detail::conv_cell_guarded(in, w_oc, b,
-                                                  spec.in_channels, h, w, k,
-                                                  iy0, ix0);
-        }
-        continue;
-      }
-      for (std::size_t ox = 0; ox < ox_lo; ++ox) {
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox) -
-                                   static_cast<std::ptrdiff_t>(p);
-        out_row[ox] = detail::conv_cell_guarded(in, w_oc, b, spec.in_channels,
-                                                h, w, k, iy0, ix0);
-      }
-      const float* in_y = in + static_cast<std::size_t>(iy0) * w;
-      conv3x1_interior_span(in_y, w_oc, b, spec.in_channels, in_plane, w, p,
-                            ox_lo, ox_hi, out_row);
-      for (std::size_t ox = ox_hi; ox < ow; ++ox) {
-        const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox) -
-                                   static_cast<std::ptrdiff_t>(p);
-        out_row[ox] = detail::conv_cell_guarded(in, w_oc, b, spec.in_channels,
-                                                h, w, k, iy0, ix0);
-      }
-    }
-  }
-}
-
-// ---- lane per output channel: every other shape -----------------------------
+// ---- lane per output channel: conv2d_rows -----------------------------------
 
 /// One call's geometry for the channel-lane kernels.
 struct OcLaneConv {
@@ -426,6 +336,157 @@ void conv_rows_oc_lanes(const Tensor& input, const Tensor& weight,
   }
 }
 
+// ---- lane per output cell: the fused stem block -----------------------------
+
+/// One call's geometry for the fused stem kernels. `padded` holds input
+/// rows 2*row_begin - 1 through 2*row_end, `stride` floats each: a zero
+/// column, the input row, then zeros (rows outside the input are all
+/// zero). Pooled row j reads padded rows 2j..2j+3 for conv rows 2j and
+/// 2j+1, over `conv_w` cells: 2*pooled_w rounded up to whole vectors, so
+/// no lane tail exists. Cells from 2*pooled_w on are computed but never
+/// pooled.
+struct StemRows {
+  const float* padded = nullptr;
+  const float* weights = nullptr;  // [ky*3+kx][channel][lane] splats
+  const float* bias = nullptr;     // (kStemChannels)
+  float* vmax = nullptr;           // [channel][conv_w]: the pair's row max
+  float* out = nullptr;            // `channel`'s plane, at pooled row_begin
+  std::size_t stride = 0, conv_w = 0, pooled_w = 0, out_plane = 0;
+  std::size_t pairs = 0;  // pooled rows: row_end - row_begin
+};
+
+/// Pooled row j from the pair's rectified row max:
+/// out[c][px] = max(vmax[c][2px], vmax[c][2px + 1]).
+inline void pool_stem_columns(const StemRows& s, std::size_t j) {
+  for (std::size_t c = 0; c < kStemChannels; ++c) {
+    const float* m = s.vmax + c * s.conv_w;
+    float* o = s.out + c * s.out_plane + j * s.pooled_w;
+    std::size_t px = 0;
+#if defined(ECO_HAVE_VEC4)
+    for (; px + 4 <= s.pooled_w; px += 4) {
+      vec4_store(o + px, vec4_pair_max(vec4_load(m + 2 * px),
+                                       vec4_load(m + 2 * px + 4)));
+    }
+#endif
+    for (; px < s.pooled_w; ++px) o[px] = std::max(m[2 * px], m[2 * px + 1]);
+  }
+}
+
+#if defined(ECO_HAVE_VEC4)
+/// Four conv cells per vector; every pooled row runs its two conv rows,
+/// each lane over the reference's bias → ky → kx chain with padded taps.
+void stem_rows_vec4(const StemRows& s) {
+  constexpr std::size_t kLanes = 4;
+  const float* padded = s.padded;
+  const float* weights = s.weights;
+  const float* bias = s.bias;
+  float* vmax = s.vmax;
+  const std::size_t stride = s.stride, conv_w = s.conv_w;
+  for (std::size_t j = 0; j < s.pairs; ++j) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      const float* rows = padded + (2 * j + r) * stride;
+      for (std::size_t x = 0; x < conv_w; x += kLanes) {
+        Vec4 acc[kStemChannels];
+#pragma GCC unroll 8
+        for (std::size_t c = 0; c < kStemChannels; ++c) {
+          acc[c] = vec4_splat(bias[c]);
+        }
+        const float* w = weights;
+#pragma GCC unroll 3
+        for (std::size_t ky = 0; ky < 3; ++ky) {
+#pragma GCC unroll 3
+          for (std::size_t kx = 0; kx < 3; ++kx) {
+            const Vec4 v = vec4_load(rows + ky * stride + x + kx);
+#pragma GCC unroll 8
+            for (std::size_t c = 0; c < kStemChannels; ++c, w += kLanes) {
+              acc[c] = vec4_add_mul(acc[c], v, vec4_load(w));
+            }
+          }
+        }
+#pragma GCC unroll 8
+        for (std::size_t c = 0; c < kStemChannels; ++c) {
+          float* m = vmax + c * conv_w + x;
+          const Vec4 y = vec4_relu(acc[c]);
+          vec4_store(m, r == 0 ? y : vec4_max(y, vec4_load(m)));
+        }
+      }
+    }
+    pool_stem_columns(s, j);
+  }
+}
+#else
+/// Builds without a vector ISA: each pooled cell is the max of its four
+/// rectified guarded conv cells (all ≥ +0, so starting from +0 is exact).
+void stem_rows_guarded(const Tensor& input, const Tensor& weight,
+                       const Tensor& bias, std::size_t row_begin,
+                       std::size_t row_end, Tensor& out, std::size_t channel) {
+  const std::size_t h = input.size(1), w = input.size(2);
+  const std::size_t ph = h / 2, pw = w / 2;
+  for (std::size_t c = 0; c < kStemChannels; ++c) {
+    float* out_c = out.data() + (channel + c) * ph * pw;
+    for (std::size_t py = row_begin; py < row_end; ++py) {
+      for (std::size_t px = 0; px < pw; ++px) {
+        float m = 0.0f;
+        for (std::size_t cell = 0; cell < 4; ++cell) {
+          const float v = detail::conv_cell_guarded(
+              input.data(), weight.data() + c * 9, bias[c], 1, h, w, 3,
+              static_cast<std::ptrdiff_t>(2 * py + cell / 2) - 1,
+              static_cast<std::ptrdiff_t>(2 * px + cell % 2) - 1);
+          m = std::max(m, v > 0.0f ? v : 0.0f);
+        }
+        out_c[py * pw + px] = m;
+      }
+    }
+  }
+}
+#endif  // ECO_HAVE_VEC4
+
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+/// The 4-lane stem kernel at eight cells per vector.
+ECO_AVX2_TARGET void stem_rows_avx2(const StemRows& s) {
+  constexpr std::size_t kLanes = 8;
+  const __m256 zero = _mm256_setzero_ps();
+  const float* padded = s.padded;
+  const float* weights = s.weights;
+  const float* bias = s.bias;
+  float* vmax = s.vmax;
+  const std::size_t stride = s.stride, conv_w = s.conv_w;
+  for (std::size_t j = 0; j < s.pairs; ++j) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      const float* rows = padded + (2 * j + r) * stride;
+      for (std::size_t x = 0; x < conv_w; x += kLanes) {
+        __m256 acc[kStemChannels];
+#pragma GCC unroll 8
+        for (std::size_t c = 0; c < kStemChannels; ++c) {
+          acc[c] = _mm256_set1_ps(bias[c]);
+        }
+        const float* w = weights;
+#pragma GCC unroll 3
+        for (std::size_t ky = 0; ky < 3; ++ky) {
+#pragma GCC unroll 3
+          for (std::size_t kx = 0; kx < 3; ++kx) {
+            const __m256 v = _mm256_loadu_ps(rows + ky * stride + x + kx);
+#pragma GCC unroll 8
+            for (std::size_t c = 0; c < kStemChannels; ++c, w += kLanes) {
+              acc[c] = _mm256_add_ps(acc[c],
+                                     _mm256_mul_ps(v, _mm256_loadu_ps(w)));
+            }
+          }
+        }
+#pragma GCC unroll 8
+        for (std::size_t c = 0; c < kStemChannels; ++c) {
+          float* m = vmax + c * conv_w + x;
+          const __m256 y = _mm256_max_ps(acc[c], zero);  // as vec4_relu
+          _mm256_storeu_ps(m,
+                           r == 0 ? y : _mm256_max_ps(y, _mm256_loadu_ps(m)));
+        }
+      }
+    }
+    pool_stem_columns(s, j);
+  }
+}
+#endif  // ECO_HAVE_AVX2_VARIANTS
+
 }  // namespace
 
 void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
@@ -439,11 +500,78 @@ void conv2d_rows_simd(const Tensor& input, const Tensor& weight,
                   "conv2d_rows: output shape mismatch");
   detail::require(row_begin <= row_end && row_end <= oh,
                   "conv2d_rows: row range out of bounds");
-  if (spec.kernel == 3 && spec.stride == 1) {
-    conv_rows_cell_lanes(input, weight, bias, spec, row_begin, row_end, out);
-  } else {
-    conv_rows_oc_lanes(input, weight, bias, spec, row_begin, row_end, out);
+  conv_rows_oc_lanes(input, weight, bias, spec, row_begin, row_end, out);
+}
+
+void conv3x3_relu_pool_rows(const Tensor& input, const Tensor& weight,
+                            const Tensor& bias, std::size_t row_begin,
+                            std::size_t row_end, Tensor& out,
+                            std::size_t channel) {
+  detail::require(input.dim() == 3 && input.size(0) == 1,
+                  "conv3x3_relu_pool_rows: input must be (1, H, W)");
+  const std::size_t h = input.size(1), w = input.size(2);
+  detail::require(h >= 2 && w >= 2,
+                  "conv3x3_relu_pool_rows: input smaller than 2x2");
+  detail::require(weight.shape() == Shape{kStemChannels, 1, 3, 3} &&
+                      bias.shape() == Shape{kStemChannels},
+                  "conv3x3_relu_pool_rows: weight or bias shape mismatch");
+  detail::require(std::all_of(weight.data(), weight.data() + weight.numel(),
+                              [](float v) { return std::isfinite(v); }),
+                  "conv3x3_relu_pool_rows: non-finite weight");
+  const std::size_t ph = h / 2, pw = w / 2;
+  detail::require(out.dim() == 3 && channel + kStemChannels <= out.size(0) &&
+                      out.size(1) == ph && out.size(2) == pw,
+                  "conv3x3_relu_pool_rows: output shape mismatch");
+  detail::require(row_begin <= row_end && row_end <= ph,
+                  "conv3x3_relu_pool_rows: row range out of bounds");
+  if (row_begin == row_end) return;
+
+#if defined(ECO_HAVE_VEC4)
+  std::size_t lanes = 4;
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+  if (cpu_has_avx2()) lanes = 8;
+#endif
+  StemRows s;
+  s.bias = bias.data();
+  s.conv_w = (2 * pw + lanes - 1) / lanes * lanes;
+  s.stride = s.conv_w + 2;
+  s.pooled_w = pw;
+  s.out_plane = ph * pw;
+  s.pairs = row_end - row_begin;
+  s.out = out.data() + channel * s.out_plane + row_begin * pw;
+
+  // Padded rows, then the row max, in a buffer owned by the calling thread
+  // (it grows to the largest call the thread has run, then is reused).
+  thread_local std::vector<float> scratch;
+  const std::size_t padded_rows = 2 * s.pairs + 2;
+  scratch.assign(padded_rows * s.stride + kStemChannels * s.conv_w, 0.0f);
+  for (std::size_t i = 0; i < padded_rows; ++i) {
+    const std::size_t iy = 2 * row_begin + i;  // input row + 1
+    if (iy == 0 || iy > h) continue;
+    std::copy_n(input.data() + (iy - 1) * w, w,
+                scratch.data() + i * s.stride + 1);
   }
+  s.padded = scratch.data();
+  s.vmax = scratch.data() + padded_rows * s.stride;
+
+  alignas(32) float splats[9 * kStemChannels * 8];
+  for (std::size_t tap = 0; tap < 9; ++tap) {
+    for (std::size_t c = 0; c < kStemChannels; ++c) {
+      std::fill_n(splats + (tap * kStemChannels + c) * lanes, lanes,
+                  weight.data()[c * 9 + tap]);
+    }
+  }
+  s.weights = splats;
+#if defined(ECO_HAVE_AVX2_VARIANTS)
+  if (lanes == 8) {
+    stem_rows_avx2(s);
+    return;
+  }
+#endif
+  stem_rows_vec4(s);
+#else
+  stem_rows_guarded(input, weight, bias, row_begin, row_end, out, channel);
+#endif
 }
 
 }  // namespace eco::tensor

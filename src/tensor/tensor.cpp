@@ -227,35 +227,25 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor concat_channels(const std::vector<Tensor>& parts) {
-  std::vector<const Tensor*> views;
-  views.reserve(parts.size());
-  for (const Tensor& p : parts) views.push_back(&p);
-  Tensor out;
-  concat_channels_into(views, out);
-  return out;
-}
-
-void concat_channels_into(const std::vector<const Tensor*>& parts,
-                          Tensor& out) {
   if (parts.empty()) throw std::invalid_argument("concat_channels: no inputs");
-  for (const Tensor* p : parts) {
-    if (p == nullptr || p->dim() != 3) {
+  for (const Tensor& p : parts) {
+    if (p.dim() != 3) {
       throw std::invalid_argument("concat_channels: inputs must be CHW");
     }
-    if (p->size(1) != parts.front()->size(1) ||
-        p->size(2) != parts.front()->size(2)) {
+    if (p.size(1) != parts.front().size(1) ||
+        p.size(2) != parts.front().size(2)) {
       throw std::invalid_argument("concat_channels: H/W mismatch");
     }
   }
   std::size_t channels = 0;
-  for (const Tensor* p : parts) channels += p->size(0);
-  const std::size_t h = parts.front()->size(1), w = parts.front()->size(2);
-  out.resize({channels, h, w});
+  for (const Tensor& p : parts) channels += p.size(0);
+  Tensor out({channels, parts.front().size(1), parts.front().size(2)});
   std::size_t offset = 0;
-  for (const Tensor* p : parts) {
-    std::copy(p->data(), p->data() + p->numel(), out.data() + offset);
-    offset += p->numel();
+  for (const Tensor& p : parts) {
+    std::copy(p.data(), p.data() + p.numel(), out.data() + offset);
+    offset += p.numel();
   }
+  return out;
 }
 
 }  // namespace eco::tensor

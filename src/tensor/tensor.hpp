@@ -206,10 +206,4 @@ class Tensor {
 /// All inputs must share H and W.
 [[nodiscard]] Tensor concat_channels(const std::vector<Tensor>& parts);
 
-/// Same concatenation into a caller-owned output (resized when needed, so
-/// arena tensors keep their capacity). Bitwise identical to
-/// concat_channels().
-void concat_channels_into(const std::vector<const Tensor*>& parts,
-                          Tensor& out);
-
 }  // namespace eco::tensor

@@ -2,10 +2,11 @@
 // across the awkward geometries: odd extents, stride > 1, padding >=
 // kernel/2 (and beyond the kernel), 1x1 kernels, the learned gate's exact
 // conv shapes, output-channel counts that leave a remainder after the last
-// 4- and 8-lane vector, row-restricted and empty row ranges. Both conv lane
-// layouts (output cells for k3/s1, output channels otherwise) and their
-// interior/border split must be invisible — Tensor::equals (exact float
-// compare) throughout. Also pins ECO_BACKEND, the one knob that selects
+// 4- and 8-lane vector, row-restricted and empty row ranges. The conv's
+// output-channel lanes, their in-bounds tap walk at the borders and the
+// guarded remainder channels must be invisible — Tensor::equals (exact
+// float compare) throughout. (The fused stem kernel has its own pins in
+// stem_kernel_test.) Also pins ECO_BACKEND, the one knob that selects
 // between the two backends.
 #include <gtest/gtest.h>
 
@@ -140,7 +141,8 @@ TEST_P(ConvKernelEquivalence, RowRestrictedRangesMatchAndStayInRange) {
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvKernelEquivalence,
     ::testing::Values(
-        // The stem shape (3x3, pad 1) and its batch form.
+        // The stem's conv shape (3x3, stride 1, pad 1), and a stride-2
+        // conv over eight channels.
         KernelCase{1, 8, 3, 1, 1, 48, 48},
         KernelCase{8, 16, 3, 2, 1, 24, 24},
         // The learned gate's three stride-2 convs, exactly.
@@ -174,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(
         KernelCase{2, 2, 1, 2, 1, 8, 8},
         // Kernel equal to the whole input.
         KernelCase{1, 1, 7, 1, 3, 7, 7},
-        // SIMD tails: output widths below one SSE vector (4 lanes), then
-        // each residue class just above it, then a single-row image.
+        // Stride 1 at small widths and heights, where most cells are
+        // border cells, then a single-row image.
         KernelCase{1, 1, 3, 1, 1, 3, 1},
         KernelCase{2, 2, 3, 1, 1, 4, 2},
         KernelCase{2, 2, 3, 1, 1, 5, 3},

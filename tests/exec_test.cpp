@@ -397,35 +397,5 @@ TEST(TensorOpsTest, Conv2dRowsMatchesFullConv) {
   }
 }
 
-TEST(TensorOpsTest, Conv2dBatchMatchesPerItemCalls) {
-  util::Rng rng(7);
-  tensor::Conv2dSpec spec;
-  spec.in_channels = 1;
-  spec.out_channels = 4;
-  std::vector<tensor::Tensor> inputs(3, tensor::Tensor({1, 8, 8}));
-  std::vector<tensor::Tensor> weights(3, tensor::Tensor({4, 1, 3, 3}));
-  tensor::Tensor bias({4});
-  for (auto& t : inputs) {
-    for (auto& v : t.vec()) v = rng.uniform_f(-1.0f, 1.0f);
-  }
-  for (auto& t : weights) {
-    for (auto& v : t.vec()) v = rng.uniform_f(-1.0f, 1.0f);
-  }
-  std::vector<tensor::Tensor> outputs(3);
-  std::vector<tensor::Conv2dBatchItem> items;
-  for (std::size_t i = 0; i < 3; ++i) {
-    items.push_back({&inputs[i], &weights[i], &bias, &outputs[i]});
-  }
-  tensor::conv2d_batch(items, spec);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const tensor::Tensor expected =
-        tensor::conv2d(inputs[i], weights[i], bias, spec);
-    ASSERT_EQ(outputs[i].shape(), expected.shape());
-    for (std::size_t j = 0; j < expected.numel(); ++j) {
-      ASSERT_EQ(outputs[i][j], expected[j]);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace eco::exec
