@@ -1,11 +1,11 @@
 // Header-only stand-in for the subset of Google Benchmark the micro-bench
 // suite uses, selected by CMake (ECO_BENCH_SHIM) when benchmark::benchmark
 // is not installed. It mimics the registration macros, the `for (auto _ :
-// state)` iteration protocol, ->Arg(n) parameterization, and DoNotOptimize,
-// and prints a ns/iteration table — so kernel-level regressions stay
-// visible on bare runners. Timing methodology is simpler than the real
-// library (fixed time budget, no statistical repetitions); absolute numbers
-// are comparable only within one run.
+// state)` iteration protocol, ->Arg(n) parameterization, DoNotOptimize and
+// ClobberMemory, and prints a ns/iteration table — so kernel-level
+// regressions stay visible on bare runners. Timing methodology is simpler
+// than the real library (fixed time budget, no statistical repetitions);
+// absolute numbers are comparable only within one run.
 #pragma once
 
 #include <chrono>
@@ -67,6 +67,8 @@ template <typename T>
 inline void DoNotOptimize(T&& value) {
   asm volatile("" : : "g"(value) : "memory");
 }
+
+inline void ClobberMemory() { asm volatile("" : : : "memory"); }
 
 struct Case {
   std::string name;

@@ -1,8 +1,9 @@
 // Microbenchmarks of the hot paths: tensor primitives (simd vs reference
 // gate convs and stem block, blur, integral image, arena acquisition), RPN
-// proposal generation, ROI region extraction, weighted box fusion, the full
-// branch detector, gate inference, and a complete adaptive pass. These
-// quantify the simulator's own CPU cost (not the modelled PX2 cost).
+// proposal generation, the ROI head and its region extraction, weighted box
+// fusion, the full branch detector, gate inference, the polar noise fill,
+// frame synthesis and a complete adaptive pass. These quantify the
+// simulator's own CPU cost (not the modelled PX2 cost).
 //
 // Builds against Google Benchmark when available; otherwise CMake selects
 // the header-only shim (bench/bench_shim.hpp) with the same macros.
@@ -237,6 +238,28 @@ void BM_ScanChannelScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanChannelScratch);
 
+// The ROI head alone on the scan's grid and its proposals, per backend
+// (Arg 0 = reference, 1 = simd; the backend picks the amplitude integral
+// image's kernel): the p95 radix select, component walk and classifier.
+void BM_RoiHeadRun(benchmark::State& state) {
+  const dataset::Frame frame = test_frame();
+  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
+  core::EngineConfig config;
+  config.backend = state.range(0) == 1 ? tensor::Backend::kSimd
+                                       : tensor::Backend::kReference;
+  const core::EcoFusionEngine engine(config);
+  const auto& detector =
+      engine.branch_detector(core::BranchId::kCameraRight);
+  detect::ScanScratch scratch;
+  const auto proposals =
+      detect::Rpn(detector.config().rpn).propose(grid, &scratch);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        detector.roi_head(0).run(grid, proposals, &scratch));
+  }
+}
+BENCHMARK(BM_RoiHeadRun)->Arg(0)->Arg(1);
+
 void BM_Matmul64(benchmark::State& state) {
   util::Rng rng(2);
   tensor::Tensor a({64, 64}), b({64, 64});
@@ -375,6 +398,18 @@ void BM_ConfigLossesAllBranches(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConfigLossesAllBranches);
+
+// One 48x48 grid's dense noise field: 2304 polar deviates per call.
+void BM_FillNormalPolar(benchmark::State& state) {
+  util::Rng rng(5);
+  std::vector<double> out(2304);
+  for (auto _ : state) {
+    rng.fill_normal_polar(0.0, 0.05, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FillNormalPolar);
 
 void BM_FrameGeneration(benchmark::State& state) {
   dataset::DatasetConfig config;

@@ -111,6 +111,11 @@ class BranchDetector {
 
   [[nodiscard]] const BranchConfig& config() const noexcept { return config_; }
 
+  /// The ROI head that scans input channel `channel`.
+  [[nodiscard]] const RoiHead& roi_head(std::size_t channel) const {
+    return roi_heads_.at(channel);
+  }
+
  private:
   BranchConfig config_;
   Rpn rpn_;

@@ -224,6 +224,34 @@ void suppress_class_agnostic(std::vector<Detection>& detections,
 
 }  // namespace
 
+std::size_t suppress_in_order(const Box* boxes, std::uint64_t* order,
+                              std::size_t count, float iou_threshold,
+                              std::size_t max_kept) {
+#if defined(__SSE2__)
+  thread_local KeptSoA kept;
+  kept.clear();
+#endif
+  std::size_t kept_count = 0;
+  for (std::size_t i = 0; i < count && kept_count < max_kept; ++i) {
+    const Box& box = boxes[static_cast<std::uint32_t>(order[i])];
+#if defined(__SSE2__)
+    if (suppressed_by_any(kept, kept_count, box, box.area(), iou_threshold)) {
+      continue;
+    }
+    kept.push(box);
+#else
+    bool suppressed = false;
+    for (std::size_t j = 0; j < kept_count && !suppressed; ++j) {
+      suppressed = iou(boxes[static_cast<std::uint32_t>(order[j])], box) >
+                   iou_threshold;
+    }
+    if (suppressed) continue;
+#endif
+    order[kept_count++] = order[i];
+  }
+  return kept_count;
+}
+
 void nms_in_place(std::vector<Detection>& detections, float iou_threshold,
                   bool class_aware) {
   sort_by_score_descending(detections);

@@ -1,6 +1,8 @@
 // Non-maximum suppression over detections.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "detect/box.hpp"
@@ -23,6 +25,18 @@ namespace eco::detect {
 /// greedy result (pinned by tests against a scalar replay).
 void nms_in_place(std::vector<Detection>& detections, float iou_threshold,
                   bool class_aware = true);
+
+/// Class-agnostic greedy suppression over boxes visited in a caller-given
+/// order, with nms_in_place's class-agnostic verdicts (the same sweep):
+/// visits boxes[order[i] & 0xFFFFFFFF] for i = 0, 1, ..., keeps a box
+/// unless it overlaps a kept one with IoU > `iou_threshold`, moves the kept
+/// entries of `order` to its front and stops once `max_kept` are kept.
+/// Returns the kept count. The RPN's proposal finish runs on it.
+[[nodiscard]] std::size_t suppress_in_order(const Box* boxes,
+                                            std::uint64_t* order,
+                                            std::size_t count,
+                                            float iou_threshold,
+                                            std::size_t max_kept);
 
 /// Drops detections with score below `min_score`.
 [[nodiscard]] std::vector<Detection> filter_by_score(

@@ -1,6 +1,7 @@
 #include "detect/roi_head.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -11,6 +12,46 @@ namespace eco::detect {
 
 RoiHead::RoiHead(RoiHeadConfig config, std::vector<ClassPrototype> prototypes)
     : config_(config), prototypes_(std::move(prototypes)) {}
+
+std::optional<SignalLevels> signal_levels(const float* values, std::size_t n,
+                                          std::vector<float>& buffer) {
+  const std::size_t rank = (n * 95) / 100;
+  // Bucket = the top 11 bits of the value's pattern. With the sign bit
+  // clear, +0 … +Inf map to buckets 0 … 0x7F8 in value order; the mask
+  // only keeps a signed pattern's (unused) bucket in range.
+  constexpr unsigned kBucketShift = 20;
+  std::uint32_t histogram[1u << 11] = {};
+  std::uint32_t max_bits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(values[i]);
+    ++histogram[(bits >> kBucketShift) & 0x7FFu];
+    max_bits = std::max(max_bits, bits);
+  }
+  if (max_bits > 0x7F800000u) {
+    // A NaN, a negative value or -0: bit order is not value order.
+    const auto is_nan = [](float v) { return std::isnan(v); };
+    if (std::any_of(values, values + n, is_nan)) return std::nullopt;
+    buffer.assign(values, values + n);
+    const auto nth = buffer.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(buffer.begin(), nth, buffer.end());
+    return SignalLevels{*nth, *std::max_element(nth, buffer.end())};
+  }
+  std::size_t below = 0;
+  std::uint32_t bucket = 0;
+  while (below + histogram[bucket] <= rank) below += histogram[bucket++];
+  // Branch-free compaction of the rank's bucket (at most n values).
+  buffer.resize(n);
+  float* staged = buffer.data();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    staged[count] = values[i];
+    count += static_cast<std::size_t>(
+        (std::bit_cast<std::uint32_t>(values[i]) >> kBucketShift) == bucket);
+  }
+  float* nth = staged + (rank - below);
+  std::nth_element(staged, nth, staged + count);
+  return SignalLevels{*nth, std::bit_cast<float>(max_bits)};
+}
 
 std::vector<Region> extract_regions(const tensor::Tensor& grid,
                                     float threshold, std::size_t min_area) {
@@ -92,6 +133,8 @@ const std::vector<Region>& extract_regions(const tensor::Tensor& grid,
 std::vector<Detection> RoiHead::run(const tensor::Tensor& grid,
                                     const std::vector<Proposal>& proposals,
                                     ScanScratch* scratch) const {
+  if (grid.numel() == 0) return {};  // no cells, no percentile
+
   // Without caller scratch, a local one provides the same buffers for this
   // call only; the arithmetic is identical either way.
   ScanScratch local;
@@ -102,20 +145,17 @@ std::vector<Detection> RoiHead::run(const tensor::Tensor& grid,
   // fog) the percentile sits barely above the noise floor, so the component
   // analysis degrades naturally — clutter components appear and true
   // objects fragment.
-  std::vector<float>& values = buffers.values;
-  values.assign(grid.vec().begin(), grid.vec().end());
-  const std::size_t p95_index = (values.size() * 95) / 100;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(p95_index),
-                   values.end());
-  const float p95 = values[p95_index];
-  const float peak = *std::max_element(
-      values.begin() + static_cast<std::ptrdiff_t>(p95_index), values.end());
+  const std::optional<SignalLevels> levels =
+      signal_levels(grid.data(), grid.numel(), buffers.values);
+  // A NaN cell leaves no order to take a percentile from (its NaN mean
+  // would empty the mask anyway).
+  if (!levels) return {};
   const float background = grid.mean();
   // Signal estimate: the 95th percentile, floored at a fraction of the
   // peak so sparse scenes (objects covering < 5% of cells) are still
   // segmented.
-  const float signal = std::max(p95, config_.signal_peak_fraction * peak);
+  const float signal =
+      std::max(levels->p95, config_.signal_peak_fraction * levels->peak);
   if (signal <= background) return {};
   const float threshold =
       background + config_.mask_fraction * (signal - background);

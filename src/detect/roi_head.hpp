@@ -79,7 +79,8 @@ class RoiHead {
   /// validated against the RPN proposals. `scratch`, when supplied,
   /// provides the percentile buffer, component-analysis masks and the
   /// amplitude integral image (see detect/scan_scratch.hpp); results are
-  /// bitwise identical with or without it.
+  /// bitwise identical with or without it. A grid with no cells or with a
+  /// NaN cell yields no detections.
   [[nodiscard]] std::vector<Detection> run(
       const tensor::Tensor& grid, const std::vector<Proposal>& proposals,
       ScanScratch* scratch = nullptr) const;
@@ -93,6 +94,23 @@ class RoiHead {
   RoiHeadConfig config_;
   std::vector<ClassPrototype> prototypes_;
 };
+
+/// The order statistics the adaptive threshold reads (exposed for tests):
+/// the value of 0-based rank n * 95 / 100 and the maximum.
+struct SignalLevels {
+  float p95 = 0.0f;
+  float peak = 0.0f;
+};
+
+/// SignalLevels of values[0..n), n > 0: exactly what std::nth_element over
+/// a copy returns, or nothing when a value is NaN (no order exists). When
+/// every value has its sign bit clear (+0 … +Inf), unsigned bit order is
+/// value order: an 11-bit histogram of the top bits finds the bucket that
+/// holds the rank, nth_element runs over that bucket alone, and the peak
+/// is the largest pattern. A negative value or -0 takes the whole-copy
+/// nth_element path. `buffer` stages the copy.
+[[nodiscard]] std::optional<SignalLevels> signal_levels(
+    const float* values, std::size_t n, std::vector<float>& buffer);
 
 /// Candidate region from the component analysis (exposed for tests).
 struct Region {

@@ -1,7 +1,9 @@
 #include "detect/rpn.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "detect/nms.hpp"
@@ -201,28 +203,76 @@ std::vector<std::vector<Proposal>> Rpn::propose_batch(
 
 namespace {
 
-/// Threshold + sigmoid of one scored anchor; shared by every scoring path
-/// so the proposal-forming arithmetic has a single definition.
-inline void emit_if_contrast(std::vector<Detection>& raw, const Box& anchor,
-                             double contrast, const RpnConfig& config) {
-  if (contrast < config.min_contrast) return;
-  Detection d;
-  d.box = anchor;
-  // Sigmoid squashing of the contrast to [0,1] objectness.
-  d.score = static_cast<float>(
-      1.0 / (1.0 + std::exp(-config.contrast_scale * contrast)));
-  raw.push_back(d);
+/// Appends (ascending) the anchors whose contrast reaches the threshold:
+/// `contrast >= min_contrast`, so a NaN contrast never becomes a proposal
+/// (vector compare + movemask on kSimd, the same predicate per anchor on
+/// kReference). Every backend stages through the same buffer, which keeps
+/// the arena footprint backend-invariant.
+void collect_candidates(ScanScratch& scratch, bool simd,
+                        const RpnConfig& config) {
+  const std::vector<double>& contrast = scratch.contrast;
+  std::vector<std::uint32_t>& out = scratch.candidates;
+  out.clear();
+  const auto threshold = static_cast<double>(config.min_contrast);
+  if (simd) {
+    detail::collect_candidates_simd(contrast.data(), contrast.size(),
+                                    threshold, out);
+    return;
+  }
+  for (std::size_t i = 0; i < contrast.size(); ++i) {
+    if (contrast[i] >= threshold) out.push_back(static_cast<std::uint32_t>(i));
+  }
 }
 
-/// NMS + top-k + proposal forming, shared by both propose paths.
-std::vector<Proposal> finish_proposals(std::vector<Detection>& raw,
-                                       const RpnConfig& config) {
-  nms_in_place(raw, config.nms_iou, /*class_aware=*/false);
-  keep_top_k_in_place(raw, config.top_k);
+/// Objectness of a ranked key (see finish_candidates).
+float key_score(std::uint64_t key) noexcept {
+  return std::bit_cast<float>(~static_cast<std::uint32_t>(key >> 32));
+}
+
+/// Sigmoid objectness, NMS and top-k over the candidates, shared by both
+/// propose paths. Bitwise what emitting one Detection per candidate, then
+/// nms_in_place (class-agnostic) and keep_top_k_in_place return, without
+/// staging Detections:
+///  - each candidate becomes one uint64 key, (~bits(score) << 32) | anchor
+///    index. Scores are +0 … 1 and never NaN, so ascending keys are exactly
+///    NMS's (score desc, emission index asc) order — candidates are
+///    emitted in ascending anchor order;
+///  - the suppression sweep stops once top_k + 1 boxes are kept.
+///    keep_top_k's partial_sort over a score-sorted range never admits an
+///    element past its middle, so all that matters is whether it runs
+///    (more than top_k kept); when it does it reorders tied scores, so it
+///    runs here too, with the same comparator, over the same first top_k.
+std::vector<Proposal> finish_candidates(const std::vector<Box>& anchors,
+                                        ScanScratch& scratch,
+                                        const RpnConfig& config) {
+  std::vector<std::uint64_t>& ranked = scratch.ranked;
+  ranked.clear();
+  for (const std::uint32_t idx : scratch.candidates) {
+    // Sigmoid squashing of the contrast to [0,1] objectness.
+    const auto score = static_cast<float>(
+        1.0 / (1.0 + std::exp(-config.contrast_scale * scratch.contrast[idx])));
+    const std::uint32_t descending = ~std::bit_cast<std::uint32_t>(score);
+    ranked.push_back((std::uint64_t{descending} << 32) | idx);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  const std::size_t limit =
+      ranked.size() > config.top_k ? config.top_k + 1 : config.top_k;
+  std::size_t kept = suppress_in_order(anchors.data(), ranked.data(),
+                                       ranked.size(), config.nms_iou, limit);
+  if (kept > config.top_k) {
+    const auto first = ranked.begin();
+    std::partial_sort(first, first + static_cast<std::ptrdiff_t>(config.top_k),
+                      first + static_cast<std::ptrdiff_t>(kept),
+                      [](std::uint64_t a, std::uint64_t b) {
+                        return key_score(a) > key_score(b);
+                      });
+    kept = config.top_k;
+  }
   std::vector<Proposal> proposals;
-  proposals.reserve(raw.size());
-  for (const Detection& d : raw) {
-    proposals.push_back(Proposal{d.box, d.score});
+  proposals.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    proposals.push_back(Proposal{
+        anchors[static_cast<std::uint32_t>(ranked[i])], key_score(ranked[i])});
   }
   return proposals;
 }
@@ -237,15 +287,10 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
   const std::vector<Box>& anchors = plan.anchors;
   const std::vector<AnchorGeometry>& geometry = plan.geometry;
 
-  std::vector<Detection>& raw = scratch.raw_detections;
-  raw.clear();
-
   // Two passes on both backends: a branch-light contrast sweep over all
   // anchors into scratch.contrast (vectorized on kSimd, scalar on
-  // kReference), then a shared threshold/sigmoid walk over the ~3% that
-  // pass. Staging through the same buffer on both backends keeps the
-  // downstream candidate/emit/NMS flow — and the scratch footprint the
-  // arena reports — structurally identical.
+  // kReference), then the candidate filter and the shared finish over the
+  // ~3% that pass.
   scratch.contrast.resize(anchors.size());
   box_blur3_into(grid, scratch.smoothed, config_.backend);
   scratch.integral.reset(scratch.smoothed, config_.backend);
@@ -276,28 +321,8 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
       scratch.contrast[i] = inside - background;
     }
   }
-  // Prefilter the survivor indices (vectorized compare + movemask on kSimd,
-  // the identical scalar predicate on kReference) so the sigmoid walk only
-  // touches anchors that pass. The predicate is `!(contrast < threshold)` —
-  // exactly emit_if_contrast's early-return, NaN behaviour included — so the
-  // emitted set and order match the old full walk. Every backend stages
-  // through scratch.candidates to keep the arena footprint backend-invariant.
-  scratch.candidates.clear();
-  const auto threshold = static_cast<double>(config_.min_contrast);
-  if (simd) {
-    detail::collect_candidates_simd(scratch.contrast.data(), anchors.size(),
-                                    threshold, scratch.candidates);
-  } else {
-    for (std::size_t i = 0; i < anchors.size(); ++i) {
-      if (!(scratch.contrast[i] < threshold)) {
-        scratch.candidates.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  }
-  for (const std::uint32_t idx : scratch.candidates) {
-    emit_if_contrast(raw, anchors[idx], scratch.contrast[idx], config_);
-  }
-  return finish_proposals(raw, config_);
+  collect_candidates(scratch, simd, config_);
+  return finish_candidates(anchors, scratch, config_);
 }
 
 std::vector<Proposal> Rpn::propose_with_anchors(
@@ -305,21 +330,20 @@ std::vector<Proposal> Rpn::propose_with_anchors(
     ScanScratch* scratch) const {
   const std::size_t h = grid.size(1), w = grid.size(2);
 
-  // With scratch, the smoothed grid and the integral table reuse the
-  // caller's buffers; the arithmetic is identical either way.
+  // With scratch, the smoothed grid, the integral table and the staging
+  // buffers reuse the caller's; the arithmetic is identical either way.
   ScanScratch local;
   ScanScratch& buffers = scratch != nullptr ? *scratch : local;
   box_blur3_into(grid, buffers.smoothed, config_.backend);
   buffers.integral.reset(buffers.smoothed, config_.backend);
   const IntegralImage& integral = buffers.integral;
 
-  std::vector<Detection>& raw = buffers.raw_detections;
-  raw.clear();
-  raw.reserve(anchors.size() / 4);
-
   const auto limit_w = static_cast<float>(w);
   const auto limit_h = static_cast<float>(h);
-  for (const Box& anchor : anchors) {
+  std::vector<double>& contrast = buffers.contrast;
+  contrast.resize(anchors.size());
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    const Box& anchor = anchors[i];
     // The clipped anchor and its sum feed three places (inside mean, the
     // ring background, the ring area); compute them once. Identical
     // values and operation order as the box_mean/box_sum calls this
@@ -338,9 +362,10 @@ std::vector<Proposal> Rpn::propose_with_anchors(
     const double inside = inner_area > 0.0f ? inner_sum / inner_area : 0.0;
     const double background =
         ring_area > 0.0 ? (ring_sum - inner_sum) / ring_area : 0.0;
-    emit_if_contrast(raw, anchor, inside - background, config_);
+    contrast[i] = inside - background;
   }
-  return finish_proposals(raw, config_);
+  collect_candidates(buffers, /*simd=*/false, config_);
+  return finish_candidates(anchors, buffers, config_);
 }
 
 }  // namespace eco::detect

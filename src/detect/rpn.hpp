@@ -125,6 +125,15 @@ struct ScanPlan;
 struct AnchorGeometry;
 
 /// The proposal network. Stateless apart from configuration.
+///
+/// NaN contract: an anchor becomes a proposal only when its contrast
+/// satisfies `contrast >= min_contrast`, an ordered compare on every
+/// backend, so a NaN contrast (a NaN cell reaches every anchor whose
+/// integral-table corners lie below or right of it) is never proposed and
+/// every objectness is a number in [0, 1]. Proposals come out in (objectness
+/// desc, anchor index asc) order, except that when more than top_k survive
+/// NMS the top_k are re-sorted by objectness alone, as
+/// keep_top_k_in_place does. A grid with no cells yields no proposals.
 class Rpn {
  public:
   explicit Rpn(RpnConfig config = {});
@@ -155,8 +164,8 @@ class Rpn {
   /// Scoring over a shared plan's precomputed geometry — what every
   /// scratch-threaded propose runs. Both backends score in two passes: a
   /// contrast sweep into scratch->contrast (vectorized on simd), then the
-  /// threshold/sigmoid walk over the survivors. Bitwise identical either
-  /// way.
+  /// threshold filter and the shared sigmoid / sort / NMS / top-k finish
+  /// over the survivors. Bitwise identical either way.
   [[nodiscard]] std::vector<Proposal> propose_with_plan(
       const tensor::Tensor& grid, const ScanPlan& plan,
       ScanScratch& scratch) const;
@@ -209,9 +218,9 @@ void anchor_contrast_pass_simd(const double* table,
                                std::size_t count, double* contrast_out);
 
 /// Anchor-scoring pass 2 prefilter: appends (ascending) the indices whose
-/// contrast passes the scalar emit predicate `!(contrast < threshold)` —
-/// including its NaN behaviour (NaN passes, as it does the scalar `<`).
-/// Comparisons are exact, so the survivor set equals the scalar walk's.
+/// contrast passes the scalar predicate `contrast >= threshold` (so a NaN
+/// contrast never passes). Comparisons are exact, so the survivor set
+/// equals the scalar walk's.
 void collect_candidates_simd(const double* contrast, std::size_t count,
                              double threshold,
                              std::vector<std::uint32_t>& out);

@@ -291,9 +291,9 @@ ECO_AVX2_TARGET void anchor_contrast_pass_avx2(const double* table,
   }
 }
 
-/// Four contrasts per step: `_CMP_NLT_UQ` is exactly the scalar predicate
-/// `!(contrast < threshold)` (unordered — NaN — passes, as it does the
-/// scalar `<`). Survivor masks are almost always zero, so the sweep is a
+/// Four contrasts per step: `_CMP_GE_OQ` is exactly the scalar predicate
+/// `contrast >= threshold` (ordered — NaN fails, as it does the scalar
+/// `>=`). Survivor masks are almost always zero, so the sweep is a
 /// compare + movemask per quad.
 ECO_AVX2_TARGET void collect_candidates_avx2(const double* contrast,
                                              std::size_t count,
@@ -304,7 +304,7 @@ ECO_AVX2_TARGET void collect_candidates_avx2(const double* contrast,
   for (; i + 4 <= count; i += 4) {
     const __m256d c = _mm256_loadu_pd(contrast + i);
     const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(c, thr, _CMP_NLT_UQ));
+        _mm256_movemask_pd(_mm256_cmp_pd(c, thr, _CMP_GE_OQ));
     if (mask == 0) continue;
     for (int lane = 0; lane < 4; ++lane) {
       if ((mask >> lane) & 1) {
@@ -314,7 +314,7 @@ ECO_AVX2_TARGET void collect_candidates_avx2(const double* contrast,
     }
   }
   for (; i < count; ++i) {
-    if (!(contrast[i] < threshold)) {
+    if (contrast[i] >= threshold) {
       out.push_back(static_cast<std::uint32_t>(i));
     }
   }
@@ -334,19 +334,19 @@ void collect_candidates_simd(const double* contrast, std::size_t count,
 #endif
   std::size_t i = 0;
 #if defined(__SSE2__)
-  // Two contrasts per step; cmpnlt is exactly the scalar `!(c < thr)`
-  // predicate, NaN included.
+  // Two contrasts per step; cmpge is exactly the scalar `c >= thr`
+  // predicate (a NaN contrast fails both). NEON builds take the scalar loop.
   const __m128d thr = _mm_set1_pd(threshold);
   for (; i + 2 <= count; i += 2) {
     const int mask =
-        _mm_movemask_pd(_mm_cmpnlt_pd(_mm_loadu_pd(contrast + i), thr));
+        _mm_movemask_pd(_mm_cmpge_pd(_mm_loadu_pd(contrast + i), thr));
     if (mask == 0) continue;
     if (mask & 1) out.push_back(static_cast<std::uint32_t>(i));
     if (mask & 2) out.push_back(static_cast<std::uint32_t>(i + 1));
   }
 #endif
   for (; i < count; ++i) {
-    if (!(contrast[i] < threshold)) {
+    if (contrast[i] >= threshold) {
       out.push_back(static_cast<std::uint32_t>(i));
     }
   }

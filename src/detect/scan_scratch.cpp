@@ -92,7 +92,7 @@ std::size_t ScanScratch::capacity_bytes() const noexcept {
   return smoothed.vec().capacity() * sizeof(float) +
          integral.capacity_bytes() + contrast.capacity() * sizeof(double) +
          candidates.capacity() * sizeof(std::uint32_t) +
-         raw_detections.capacity() * sizeof(Detection) +
+         ranked.capacity() * sizeof(std::uint64_t) +
          values.capacity() * sizeof(float) + region_integral.capacity_bytes() +
          mask.capacity() * sizeof(std::uint8_t) +
          visited.capacity() * sizeof(std::uint8_t) +

@@ -1,9 +1,11 @@
 // Reusable per-scan buffers for the RPN + ROI-head channel scan.
 //
 // A channel scan makes a fixed family of intermediate allocations: the
-// smoothed grid and its integral image (RPN scoring), the anchor grid, the
-// percentile copy of the raw grid, the component-analysis mask/visited/stack
-// buffers and the region list, and the amplitude integral image (ROI head).
+// smoothed grid and its integral image, the per-anchor contrasts, the
+// surviving anchor indices and their sort keys (RPN), the percentile
+// staging buffer, the component-analysis mask/visited/stack buffers and the
+// region list, and the amplitude integral image (ROI head). Every backend
+// stages through the same buffers, so the footprint is backend-invariant.
 // Before this struct existed each scan allocated them afresh; a ScanScratch
 // owns them all, and the exec layer keeps one per pipeline slot inside a
 // FrameArena so they persist across scans AND frames — a steady-state frame
@@ -92,10 +94,10 @@ struct ScanScratch {
   IntegralImage integral;   // cumulative table over the smoothed grid
   std::vector<double> contrast;            // scoring pass-1 output
   std::vector<std::uint32_t> candidates;   // indices passing the threshold
-  std::vector<Detection> raw_detections;   // pre-NMS candidate buffer
+  std::vector<std::uint64_t> ranked;       // (~score bits, anchor) NMS keys
 
   // ---- ROI-head stage -------------------------------------------------
-  std::vector<float> values;        // percentile copy of the raw grid
+  std::vector<float> values;        // p95 staging: the rank's bucket or a copy
   IntegralImage region_integral;    // amplitude lookups inside regions
   std::vector<std::uint8_t> mask;     // threshold mask
   std::vector<std::uint8_t> visited;  // flood-fill bookkeeping

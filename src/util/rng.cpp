@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -131,16 +132,30 @@ void Rng::fill_normal_polar(double mean, double stddev, double* out,
     has_cached_polar_ = false;
     out[i++] = mean + stddev * cached_polar_;
   }
+  double us[kPolarChunkPairs] = {}, vs[kPolarChunkPairs] = {},
+         ss[kPolarChunkPairs] = {};
   while (i + 1 < n) {
-    double u = 0.0, v = 0.0, s = 0.0;
-    do {
-      u = 2.0 * uniform() - 1.0;
-      v = 2.0 * uniform() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s <= 0.0);
-    const double mult = std::sqrt(-2.0 * std::log(s) / s);
-    out[i++] = mean + stddev * (u * mult);
-    out[i++] = mean + stddev * (v * mult);
+    const std::size_t pairs = std::min((n - i) / 2, kPolarChunkPairs);
+    // Phase 1: candidate pairs in generator order. Every candidate is
+    // written to slot k and the slot advances only on acceptance, so the
+    // ~21% rejections cost no mispredicted branch; the draws are exactly
+    // normal_polar()'s do-while sequence.
+    std::size_t k = 0;
+    while (k < pairs) {
+      const double u = 2.0 * uniform() - 1.0;
+      const double v = 2.0 * uniform() - 1.0;
+      const double s = u * u + v * v;
+      us[k] = u;
+      vs[k] = v;
+      ss[k] = s;
+      k += static_cast<std::size_t>(!(s >= 1.0) & !(s <= 0.0));
+    }
+    // Phase 2: normal_polar()'s per-pair arithmetic, in acceptance order.
+    for (k = 0; k < pairs; ++k) {
+      const double mult = std::sqrt(-2.0 * std::log(ss[k]) / ss[k]);
+      out[i++] = mean + stddev * (us[k] * mult);
+      out[i++] = mean + stddev * (vs[k] * mult);
+    }
   }
   if (i < n) out[i] = mean + stddev * normal_polar();
 }

@@ -67,11 +67,15 @@ class Rng {
 
   /// Fills out[0..n) with mean + stddev * N(0,1), bitwise identical to
   /// calling normal_polar(mean, stddev) n times on the same generator,
-  /// including cache hand-off at both ends. The batched loop keeps the
-  /// rejection state in registers instead of round-tripping the cache flag
-  /// through memory every draw.
+  /// including cache hand-off at both ends. Works in chunks of up to
+  /// kPolarChunkPairs pairs: a branch-free pass draws candidate pairs and
+  /// compacts the accepted ones, then a second pass turns each into two
+  /// deviates with normal_polar()'s arithmetic.
   void fill_normal_polar(double mean, double stddev, double* out,
                          std::size_t n) noexcept;
+
+  /// Accepted pairs fill_normal_polar stages per chunk (on the stack).
+  static constexpr std::size_t kPolarChunkPairs = 128;
 
   /// Bernoulli draw with probability p of true.
   [[nodiscard]] bool bernoulli(double p) noexcept;

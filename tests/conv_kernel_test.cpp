@@ -6,14 +6,21 @@
 // output-channel lanes, their in-bounds tap walk at the borders and the
 // guarded remainder channels must be invisible — Tensor::equals (exact
 // float compare) throughout. (The fused stem kernel has its own pins in
-// stem_kernel_test.) Also pins ECO_BACKEND, the one knob that selects
+// stem_kernel_test.) Also pins the RPN's proposal finish against the
+// emit -> nms_in_place -> keep_top_k_in_place composition it replaced, on
+// tied scores and NaN cells, and ECO_BACKEND, the one knob that selects
 // between the two backends.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "detect/anchors.hpp"
+#include "detect/nms.hpp"
 #include "detect/rpn.hpp"
 #include "detect/scan_scratch.hpp"
 #include "runtime/stream.hpp"
@@ -284,6 +291,135 @@ TEST(RpnBackendTest, ProposalsBitwiseInvariantAcrossBackends) {
     EXPECT_EQ(proposals[i].box.x2, reference[i].box.x2);
     EXPECT_EQ(proposals[i].box.y2, reference[i].box.y2);
     EXPECT_EQ(proposals[i].objectness, reference[i].objectness);
+  }
+}
+
+// The composition the RPN's integer-key finish replaced, kept as its
+// oracle: the scratchless clip/clamp scoring over a reference blur and
+// integral image, one Detection per anchor whose contrast reaches
+// min_contrast, then nms_in_place and keep_top_k_in_place.
+std::vector<detect::Proposal> replay_proposals(
+    const Tensor& grid, const detect::RpnConfig& config) {
+  const std::size_t h = grid.size(1), w = grid.size(2);
+  Tensor smoothed;
+  detect::box_blur3_into_reference(grid, smoothed);
+  detect::IntegralImage integral;
+  integral.reset(smoothed, Backend::kReference);
+  const auto limit_w = static_cast<float>(w);
+  const auto limit_h = static_cast<float>(h);
+  std::vector<detect::Detection> raw;
+  for (const detect::Box& anchor :
+       detect::generate_anchors(h, w, config.anchors)) {
+    const detect::Box inner = anchor.clipped(limit_w, limit_h);
+    const float inner_area = inner.area();
+    const double inner_sum = integral.box_sum(inner);
+    detect::Box ring = anchor;
+    ring.x1 -= config.ring;
+    ring.y1 -= config.ring;
+    ring.x2 += config.ring;
+    ring.y2 += config.ring;
+    ring = ring.clipped(limit_w, limit_h);
+    const double ring_sum = integral.box_sum(ring);
+    const double ring_area = ring.area() - inner_area;
+    const double inside = inner_area > 0.0f ? inner_sum / inner_area : 0.0;
+    const double background =
+        ring_area > 0.0 ? (ring_sum - inner_sum) / ring_area : 0.0;
+    const double contrast = inside - background;
+    if (!(contrast >= config.min_contrast)) continue;
+    detect::Detection d;
+    d.box = anchor;
+    d.score = static_cast<float>(
+        1.0 / (1.0 + std::exp(-config.contrast_scale * contrast)));
+    raw.push_back(d);
+  }
+  detect::nms_in_place(raw, config.nms_iou, /*class_aware=*/false);
+  detect::keep_top_k_in_place(raw, config.top_k);
+  std::vector<detect::Proposal> proposals;
+  for (const detect::Detection& d : raw) {
+    proposals.push_back(detect::Proposal{d.box, d.score});
+  }
+  return proposals;
+}
+
+// Every propose path (reference without scratch, reference and simd with
+// scratch) against the replay, elementwise and in order.
+void expect_proposals_match_replay(const Tensor& grid,
+                                   detect::RpnConfig config,
+                                   const std::string& label) {
+  const auto expected = replay_proposals(grid, config);
+  detect::ScanScratch scratch;
+  config.backend = Backend::kReference;
+  const auto scratchless = detect::Rpn(config).propose(grid);
+  const auto reference = detect::Rpn(config).propose(grid, &scratch);
+  config.backend = Backend::kSimd;
+  const auto simd = detect::Rpn(config).propose(grid, &scratch);
+  for (const auto* actual : {&scratchless, &reference, &simd}) {
+    ASSERT_EQ(actual->size(), expected.size()) << label;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const detect::Proposal& a = (*actual)[i];
+      const detect::Proposal& e = expected[i];
+      ASSERT_TRUE(a.box.x1 == e.box.x1 && a.box.y1 == e.box.y1 &&
+                  a.box.x2 == e.box.x2 && a.box.y2 == e.box.y2 &&
+                  a.objectness == e.objectness)
+          << label << " proposal " << i;
+      ASSERT_FALSE(std::isnan(a.objectness)) << label;
+    }
+  }
+}
+
+// Equal scores are where the finish can go wrong: the sort's index
+// tie-break, and keep_top_k's partial_sort, which reorders tied scores
+// whenever more than top_k survive NMS. Grids quantized to {0, 0.5, 1}
+// and a lattice of identical squares make many anchors score alike.
+TEST(RpnBackendTest, ProposalsMatchReplayOnTiedScores) {
+  util::Rng rng(6002);
+  std::vector<Tensor> grids;
+  for (int i = 0; i < 24; ++i) {
+    Tensor grid({1, 48, 48});
+    const double bright = rng.uniform(0.05, 0.3);
+    for (float& v : grid.vec()) {
+      const double u = rng.uniform();
+      v = u < bright ? 1.0f : u < 2.0 * bright ? 0.5f : 0.0f;
+    }
+    grids.push_back(std::move(grid));
+  }
+  Tensor lattice({1, 48, 48});
+  for (std::size_t y = 2; y + 2 < 48; y += 6) {
+    for (std::size_t x = 2; x + 2 < 48; x += 6) {
+      for (std::size_t dy = 0; dy < 2; ++dy) {
+        for (std::size_t dx = 0; dx < 2; ++dx) {
+          lattice.at(0, y + dy, x + dx) = 1.0f;
+        }
+      }
+    }
+  }
+  grids.push_back(lattice);
+  for (const std::size_t top_k :
+       {std::size_t{4}, std::size_t{16}, std::size_t{48}}) {
+    detect::RpnConfig config;
+    config.top_k = top_k;
+    for (std::size_t i = 0; i < grids.size(); ++i) {
+      expect_proposals_match_replay(
+          grids[i], config,
+          "grid " + std::to_string(i) + " top_k " + std::to_string(top_k));
+    }
+  }
+}
+
+// NaN contract: a NaN cell poisons every contrast whose integral-table
+// corners lie past it; none of those anchors may become a proposal, and
+// the backends still agree bit for bit.
+TEST(RpnBackendTest, NanCellsNeverBecomeProposals) {
+  util::Rng rng(6003);
+  for (int i = 0; i < 16; ++i) {
+    Tensor grid = random_tensor({1, 48, 48}, rng, 0.0f, 1.0f);
+    const std::size_t cells = 1 + rng.index(5);
+    for (std::size_t c = 0; c < cells; ++c) {
+      grid.vec()[rng.index(grid.numel())] =
+          std::numeric_limits<float>::quiet_NaN();
+    }
+    expect_proposals_match_replay(grid, detect::RpnConfig{},
+                                  "nan grid " + std::to_string(i));
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -161,6 +163,46 @@ TEST(RngTest, HashCombineOrderSensitive) {
 TEST(RngTest, IndexAlwaysBelowBound) {
   Rng rng(22);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.index(7), 7u);
+}
+
+// fill_normal_polar is n calls of normal_polar() bit for bit: the same
+// deviates, and the generator left in the same state (cached deviate and
+// raw stream). Counts straddle the chunk in pairs and in deviates, the odd
+// tail and the render's 48x48 grid; a cached deviate is present or absent
+// on entry.
+TEST(RngTest, FillNormalPolarMatchesScalarDraws) {
+  constexpr std::size_t kPairs = Rng::kPolarChunkPairs;
+  constexpr std::size_t kDeviates = 2 * kPairs;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        kPairs - 1, kPairs, kPairs + 1, kDeviates - 1, kDeviates,
+        kDeviates + 1, 2 * kDeviates + 1, std::size_t{2304},
+        std::size_t{2305}}) {
+    for (const bool cached : {false, true}) {
+      for (const std::uint64_t seed : {3ull, 2022ull}) {
+        Rng batched(seed), scalar(seed);
+        if (cached) {
+          ASSERT_EQ(batched.normal_polar(), scalar.normal_polar());
+        }
+        std::vector<double> out(n);
+        batched.fill_normal_polar(0.25, 0.07, out.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double expected = scalar.normal_polar(0.25, 0.07);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(expected))
+              << "n=" << n << " cached=" << cached << " seed=" << seed
+              << " i=" << i;
+        }
+        // The next deviate reads the cache when one is left; the raw
+        // stream after it checks every uniform consumed.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.normal_polar()),
+                  std::bit_cast<std::uint64_t>(scalar.normal_polar()))
+            << "n=" << n << " cached=" << cached;
+        EXPECT_EQ(batched.next_u64(), scalar.next_u64())
+            << "n=" << n << " cached=" << cached;
+      }
+    }
+  }
 }
 
 // Property sweep: moment sanity across many seeds.

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "detect/branch_detector.hpp"
 #include "detect/rpn.hpp"
+#include "detect/scan_scratch.hpp"
+#include "util/rng.hpp"
 
 namespace eco::detect {
 namespace {
@@ -146,6 +156,119 @@ TEST(RoiHeadTest, TwoObjectsTwoDetections) {
   const RoiHead head(RoiHeadConfig{}, two_prototypes());
   const auto detections = head.run(grid, rpn.propose(grid));
   EXPECT_EQ(detections.size(), 2u);
+}
+
+// Grids with no cells: nothing to select, so no detections, on every
+// backend, with and without scratch, alone and behind the RPN.
+TEST(RoiHeadTest, EmptyExtentsYieldNoDetections) {
+  for (const tensor::Backend backend :
+       {tensor::Backend::kReference, tensor::Backend::kSimd}) {
+    BranchConfig config;
+    config.rpn.backend = backend;
+    config.roi_per_input.front().backend = backend;
+    const BranchDetector detector(config, {two_prototypes()});
+    const RoiHead head(config.roi_per_input.front(), two_prototypes());
+    for (const tensor::Shape& shape :
+         {tensor::Shape{1, 0, 0}, tensor::Shape{1, 0, 5},
+          tensor::Shape{1, 5, 0}}) {
+      const tensor::Tensor grid(shape);
+      ScanScratch scratch;
+      EXPECT_TRUE(head.run(grid, {}).empty());
+      EXPECT_TRUE(head.run(grid, {}, &scratch).empty());
+      EXPECT_TRUE(Rpn(config.rpn).propose(grid, &scratch).empty());
+      EXPECT_TRUE(detector.scan_channel(0, grid).empty());
+      EXPECT_TRUE(detector.scan_channel(0, grid, &scratch).empty());
+    }
+  }
+}
+
+// A NaN cell has no place in the percentile's order: the head returns no
+// detections before it selects anything (the NaN mean would have emptied
+// the mask anyway), on both backends.
+TEST(RoiHeadTest, NanCellYieldsNoDetections) {
+  const Box rect{8, 8, 18, 16};
+  tensor::Tensor grid = grid_with_rect(32, rect, 0.6f);
+  for (const tensor::Backend backend :
+       {tensor::Backend::kReference, tensor::Backend::kSimd}) {
+    RpnConfig rpn_config;
+    rpn_config.backend = backend;
+    RoiHeadConfig roi_config;
+    roi_config.backend = backend;
+    const Rpn rpn(rpn_config);
+    const RoiHead head(roi_config, two_prototypes());
+    ScanScratch scratch;
+    ASSERT_FALSE(head.run(grid, rpn.propose(grid), &scratch).empty());
+    tensor::Tensor poisoned = grid;
+    poisoned.at(0, 30, 1) = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_TRUE(head.run(poisoned, rpn.propose(poisoned), &scratch).empty());
+    EXPECT_TRUE(head.run(poisoned, rpn.propose(poisoned)).empty());
+  }
+}
+
+// The oracle: a whole copy + std::nth_element, as the head always did.
+SignalLevels nth_element_levels(std::vector<float> values) {
+  const auto nth =
+      values.begin() + static_cast<std::ptrdiff_t>(values.size() * 95 / 100);
+  std::nth_element(values.begin(), nth, values.end());
+  return {*nth, *std::max_element(nth, values.end())};
+}
+
+// signal_levels equals the oracle bit for bit on both of its paths: the
+// radix select over sign-clear values (ties, +0, subnormals, +Inf, huge
+// values) and the whole-copy fallback (-0, negatives, -Inf).
+TEST(SignalLevelsTest, MatchesNthElementOnBothPaths) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> sign_clear = {0.0f,  1e-40f, 1e-45f, 0.5f,
+                                         0.5f,  1.0f,   3e38f,  kInf,
+                                         0.25f, 0.125f};
+  const std::vector<float> signed_values = {-0.0f, -0.25f, -kInf, -1e-40f,
+                                            -3e38f};
+  util::Rng rng(404);
+  std::vector<float> buffer;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{19}, std::size_t{20},
+                              std::size_t{21}, std::size_t{100},
+                              std::size_t{2304}}) {
+    for (int variant = 0; variant < 8; ++variant) {
+      std::vector<float> values(n);
+      for (float& v : values) {
+        // Quantized ({0, 0.5, 1}), continuous, or drawn from the specials.
+        v = variant % 4 == 0
+                ? 0.5f * static_cast<float>(rng.index(3))
+                : variant % 4 == 1 ? rng.uniform_f(0.0f, 2.0f)
+                                   : sign_clear[rng.index(sign_clear.size())];
+      }
+      const bool fallback = variant >= 4;
+      if (fallback) {
+        // Signed patterns in a few cells (all of them when variant 7).
+        const std::size_t count = variant == 7 ? n : 1 + rng.index(3);
+        for (std::size_t i = 0; i < count; ++i) {
+          values[rng.index(n)] =
+              variant == 7 ? -rng.uniform_f(0.0f, 1.0f)
+                           : signed_values[rng.index(signed_values.size())];
+        }
+      }
+      const SignalLevels expected = nth_element_levels(values);
+      const std::optional<SignalLevels> actual =
+          signal_levels(values.data(), n, buffer);
+      ASSERT_TRUE(actual.has_value());
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(actual->p95),
+                std::bit_cast<std::uint32_t>(expected.p95))
+          << "n=" << n << " variant=" << variant;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(actual->peak),
+                std::bit_cast<std::uint32_t>(expected.peak))
+          << "n=" << n << " variant=" << variant;
+    }
+  }
+}
+
+TEST(SignalLevelsTest, NanHasNoLevels) {
+  std::vector<float> buffer;
+  for (const float other : {0.5f, -0.5f}) {
+    const std::vector<float> values = {
+        other, std::numeric_limits<float>::quiet_NaN(), 0.25f};
+    EXPECT_FALSE(signal_levels(values.data(), values.size(), buffer));
+  }
 }
 
 }  // namespace
