@@ -1,10 +1,8 @@
 #include "harness.hpp"
 
 #include <cstdio>
-#include <map>
 
 #include "eval/metrics.hpp"
-#include "exec/batcher.hpp"
 #include "exec/workspace.hpp"
 
 namespace eco::bench {
@@ -107,30 +105,11 @@ EvalSummary Harness::evaluate_static(std::size_t config_index,
                                      std::string label) {
   EvalSummary summary;
   summary.label = std::move(label);
-  // Every frame runs the same configuration, so the whole evaluation is one
-  // batch group: the BranchBatcher executes each unique channel scan the
-  // configuration needs across all frames (shared anchor generation; a
-  // channel shared by several branches is scanned once per frame), then
-  // per-branch merges and fusion/loss/accounting stay per frame. Batched,
-  // scan-shared execution is bitwise identical to the frame-at-a-time loop
-  // this replaces, so table outputs are unchanged.
-  std::vector<std::unique_ptr<exec::FrameWorkspace>> workspaces;
-  workspaces.reserve(frames.size());
-  std::vector<exec::FrameWorkspace*> group;
-  group.reserve(frames.size());
-  for (std::size_t index : frames) {
-    workspaces.push_back(
-        std::make_unique<exec::FrameWorkspace>(*engine_, data_->frame(index)));
-    group.push_back(workspaces.back().get());
-  }
-  const exec::BranchBatcher batcher(*engine_);
-  batcher.execute(config_index, group);
-
   std::vector<eval::FrameResult> results;
   eval::RunningStats loss, energy, latency;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const dataset::Frame& frame = data_->frame(frames[i]);
-    core::RunResult run = engine_->run_static(*workspaces[i], config_index);
+  for (std::size_t index : frames) {
+    const dataset::Frame& frame = data_->frame(index);
+    core::RunResult run = engine_->run_static(frame, config_index);
     loss.add(run.loss.total());
     energy.add(run.energy_j);
     latency.add(run.latency_ms);
@@ -151,40 +130,18 @@ EvalSummary Harness::evaluate_adaptive(gating::Gate& gate, float lambda_energy,
   core::JointOptParams params;
   params.gamma = config_.gamma;
   params.lambda_energy = lambda_energy;
-  // Two-phase evaluation mirroring the streaming pipeline: select φ* for
-  // every frame first (steps 1–4), then execute frames that picked the same
-  // configuration as one batched group (step 5). Selection, execution and
-  // the accumulation below all walk `frames` in caller order, so summaries
-  // are bitwise identical to the per-frame loop this replaces.
-  std::vector<std::unique_ptr<exec::FrameWorkspace>> workspaces;
-  workspaces.reserve(frames.size());
-  std::vector<std::size_t> selections;
-  selections.reserve(frames.size());
-  std::map<std::size_t, std::vector<std::size_t>> groups;  // φ* -> positions
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const std::size_t index = frames[i];
-    workspaces.push_back(
-        std::make_unique<exec::FrameWorkspace>(*engine_, data_->frame(index)));
+  // Per frame: select φ* (Algorithm 1 steps 1–4), then execute it (step 5)
+  // through the same workspace, so the selection's branch work is reused.
+  std::vector<eval::FrameResult> results;
+  eval::RunningStats loss, energy, latency;
+  for (std::size_t index : frames) {
+    const dataset::Frame& frame = data_->frame(index);
+    exec::FrameWorkspace ws(*engine_, frame);
     const std::vector<float>* oracle =
         gate.needs_oracle() ? &oracle_losses(index) : nullptr;
     const core::SelectionResult selection =
-        engine_->select_adaptive(*workspaces[i], gate, params, oracle);
-    selections.push_back(selection.config_index);
-    groups[selection.config_index].push_back(i);
-  }
-  const exec::BranchBatcher batcher(*engine_);
-  for (const auto& [config_index, positions] : groups) {
-    std::vector<exec::FrameWorkspace*> group;
-    group.reserve(positions.size());
-    for (std::size_t i : positions) group.push_back(workspaces[i].get());
-    batcher.execute(config_index, group);
-  }
-
-  std::vector<eval::FrameResult> results;
-  eval::RunningStats loss, energy, latency;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const dataset::Frame& frame = data_->frame(frames[i]);
-    core::RunResult run = engine_->run_selected(*workspaces[i], selections[i],
+        engine_->select_adaptive(ws, gate, params, oracle);
+    core::RunResult run = engine_->run_selected(ws, selection.config_index,
                                                 gate.complexity());
     loss.add(run.loss.total());
     energy.add(run.energy_j);

@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 #endif
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include "detect/scan_scratch.hpp"
 #include "fusion/wbf.hpp"
 #include "gating/learned_gate.hpp"
+#include "runtime/stream.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/serialize.hpp"
@@ -38,6 +40,48 @@ using namespace eco;
 dataset::Frame test_frame() {
   dataset::DatasetConfig config;
   return dataset::generate_frame(dataset::SceneType::kCity, config, 7);
+}
+
+// The scan benches' inputs: one fixed stream (all 8 scenes, one 8-frame
+// sequence each: 64 frames), built once. A bench cycles through it, so a
+// data-dependent cost (candidate count, proposal sort, p95 select, NMS) is
+// timed over the spread a stream shows rather than over one grid.
+const std::vector<dataset::Frame>& stream_frames() {
+  static const std::vector<dataset::Frame> frames = [] {
+    runtime::StreamConfig config;
+    config.sequence.length = 8;
+    config.sequences_per_scene = 1;
+    config.seed = 2300;
+    runtime::FrameStream stream(config);
+    std::vector<dataset::Frame> out;
+    while (auto f = stream.next()) out.push_back(std::move(f->frame));
+    return out;
+  }();
+  return frames;
+}
+
+// One sensor grid of stream_frames() and the single-sensor branch that
+// scans it: 4 per frame, 256 in all.
+struct StreamGrid {
+  core::BranchId branch;
+  const tensor::Tensor* grid;
+};
+
+const std::vector<StreamGrid>& stream_grids() {
+  static const std::vector<StreamGrid> grids = [] {
+    constexpr std::array<core::BranchId, 4> kSensorBranches = {
+        core::BranchId::kCameraLeft, core::BranchId::kCameraRight,
+        core::BranchId::kLidar, core::BranchId::kRadar};
+    std::vector<StreamGrid> out;
+    for (const dataset::Frame& frame : stream_frames()) {
+      for (core::BranchId branch : kSensorBranches) {
+        out.push_back(
+            {branch, &frame.grid(core::branch_inputs(branch).front())});
+      }
+    }
+    return out;
+  }();
+  return grids;
 }
 
 gating::LearnedGateConfig gate_config(const core::EcoFusionEngine& engine,
@@ -186,17 +230,18 @@ void BM_IntegralImageResetSimd(benchmark::State& state) {
 BENCHMARK(BM_IntegralImageResetSimd);
 
 // The vectorized anchor-contrast sweep vs its scalar equivalent inside a
-// full proposal pass: one Rpn per backend over the same plan/scratch.
-// Arg: 0 = reference, 1 = simd.
+// full proposal pass over the stream grids: one Rpn per backend over the
+// same plan/scratch. Arg: 0 = reference, 1 = simd.
 void BM_RpnProposeBackend(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
+  const std::vector<StreamGrid>& grids = stream_grids();
   detect::RpnConfig config;
   config.backend = state.range(0) == 1 ? tensor::Backend::kSimd
                                        : tensor::Backend::kReference;
   const detect::Rpn rpn(config);
   detect::ScanScratch scratch;
+  std::size_t i = 0;
   for (auto _ : state) {
+    const tensor::Tensor& grid = *grids[i++ % grids.size()].grid;
     benchmark::DoNotOptimize(rpn.propose(grid, &scratch));
   }
 }
@@ -224,38 +269,44 @@ void BM_FreshTensorAlloc(benchmark::State& state) {
 BENCHMARK(BM_FreshTensorAlloc);
 
 // One full channel scan through a warmed scratch — the per-frame unit of
-// detector work after the kernel/arena overhaul.
+// detector work — cycling through the stream grids, each scanned by its
+// sensor's branch.
 void BM_ScanChannelScratch(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
+  const std::vector<StreamGrid>& grids = stream_grids();
   const core::EcoFusionEngine engine;
-  const auto& detector =
-      engine.branch_detector(core::BranchId::kCameraRight);
   detect::ScanScratch scratch;
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.scan_channel(0, grid, &scratch));
+    const StreamGrid& g = grids[i++ % grids.size()];
+    benchmark::DoNotOptimize(
+        engine.branch_detector(g.branch).scan_channel(0, *g.grid, &scratch));
   }
 }
 BENCHMARK(BM_ScanChannelScratch);
 
-// The ROI head alone on the scan's grid and its proposals, per backend
+// The ROI head alone on each stream grid and its proposals, per backend
 // (Arg 0 = reference, 1 = simd; the backend picks the amplitude integral
 // image's kernel): the p95 radix select, component walk and classifier.
 void BM_RoiHeadRun(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
+  const std::vector<StreamGrid>& grids = stream_grids();
   core::EngineConfig config;
   config.backend = state.range(0) == 1 ? tensor::Backend::kSimd
                                        : tensor::Backend::kReference;
   const core::EcoFusionEngine engine(config);
-  const auto& detector =
-      engine.branch_detector(core::BranchId::kCameraRight);
   detect::ScanScratch scratch;
-  const auto proposals =
-      detect::Rpn(detector.config().rpn).propose(grid, &scratch);
+  std::vector<std::vector<detect::Proposal>> proposals;
+  proposals.reserve(grids.size());
+  for (const StreamGrid& g : grids) {
+    const auto& detector = engine.branch_detector(g.branch);
+    proposals.push_back(
+        detect::Rpn(detector.config().rpn).propose(*g.grid, &scratch));
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        detector.roi_head(0).run(grid, proposals, &scratch));
+    const std::size_t k = i++ % grids.size();
+    const StreamGrid& g = grids[k];
+    benchmark::DoNotOptimize(engine.branch_detector(g.branch).roi_head(0).run(
+        *g.grid, proposals[k], &scratch));
   }
 }
 BENCHMARK(BM_RoiHeadRun)->Arg(0)->Arg(1);
@@ -271,12 +322,14 @@ void BM_Matmul64(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul64);
 
+// A scratch-free proposal pass (fresh anchors and buffers per call) over
+// the stream grids.
 void BM_RpnPropose(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
+  const std::vector<StreamGrid>& grids = stream_grids();
   const detect::Rpn rpn;
-  const auto& grid = frame.grid(dataset::SensorKind::kCameraRight);
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rpn.propose(grid));
+    benchmark::DoNotOptimize(rpn.propose(*grids[i++ % grids.size()].grid));
   }
 }
 BENCHMARK(BM_RpnPropose);
@@ -350,12 +403,26 @@ void BM_RenderSensorReference(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderSensorReference)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+// A whole branch's detect() (per-channel scans, then the channel merge)
+// cycling through every branch of every stream frame.
 void BM_BranchDetect(benchmark::State& state) {
-  const dataset::Frame frame = test_frame();
   const core::EcoFusionEngine engine;
+  struct Input {
+    core::BranchId branch;
+    std::vector<tensor::Tensor> grids;
+  };
+  std::vector<Input> inputs;
+  for (const dataset::Frame& frame : stream_frames()) {
+    for (std::size_t b = 0; b < core::kNumBranches; ++b) {
+      const auto branch = static_cast<core::BranchId>(b);
+      inputs.push_back({branch, engine.branch_grids(branch, frame)});
+    }
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
+    const Input& in = inputs[i++ % inputs.size()];
     benchmark::DoNotOptimize(
-        engine.run_branch(core::BranchId::kCameraRight, frame));
+        engine.branch_detector(in.branch).detect(in.grids));
   }
 }
 BENCHMARK(BM_BranchDetect);

@@ -15,9 +15,8 @@
 // Shard-speedup expectations are hardware-bound: shards overlap their window
 // barriers and stream producers on the shared pool, so gains need at least
 // as many cores as busy shards. On a single-core container the shard rows
-// should sit within noise of each other (batching grows with shard count —
-// a shard's window spans fewer lanes — but per-call batch savings are
-// small); the CI runners' multi-core sweep is the interesting one.
+// should sit within noise of each other; the CI runners' multi-core sweep
+// is the interesting one.
 //
 // The bench measures and emits. The invariants (reports bitwise equal across
 // workers, shards, scheduler toggles, channel sharing, kernel backends,
@@ -125,7 +124,6 @@ struct ShardRow {
   std::size_t shards = 0;
   double frames_per_second = 0.0;
   double speedup = 0.0;
-  double mean_batch = 0.0;
   std::size_t channel_scans_requested = 0;
   std::size_t channel_scans_unique = 0;
   std::size_t tensor_allocs = 0;
@@ -309,10 +307,6 @@ bool write_json(const std::string& path, const Results& r) {
                report.exec.channel_scans_requested);
   std::fprintf(f, "    \"channel_scans_unique\": %zu,\n",
                report.exec.channel_scans_unique);
-  std::fprintf(f, "    \"batches\": %zu,\n", report.exec.batches);
-  std::fprintf(f, "    \"batched_frames\": %zu,\n", report.exec.batched_frames);
-  std::fprintf(f, "    \"max_batch\": %zu,\n", report.exec.max_batch);
-  std::fprintf(f, "    \"mean_batch\": %.4f,\n", report.exec.mean_batch);
   std::fprintf(f, "    \"tensor_allocs\": %zu,\n", report.exec.tensor_allocs);
   std::fprintf(f, "    \"plan_cache_hits\": %zu,\n",
                report.exec.plan_cache_hits);
@@ -423,7 +417,7 @@ bool write_json(const std::string& path, const Results& r) {
     const ShardRow& row = r.shard_rows[i];
     std::fprintf(f,
                  "    {\"shards\": %zu, \"frames_per_second\": %.2f, "
-                 "\"speedup\": %.3f, \"mean_batch\": %.3f, "
+                 "\"speedup\": %.3f, "
                  "\"channel_scans_requested\": %zu, "
                  "\"channel_scans_unique\": %zu, "
                  "\"tensor_allocs\": %zu, "
@@ -436,7 +430,7 @@ bool write_json(const std::string& path, const Results& r) {
                  "\"obs_wall_ms_p50\": %.6f, \"obs_wall_ms_p95\": %.6f, "
                  "\"obs_wall_ms_p99\": %.6f}%s\n",
                  row.shards, row.frames_per_second, row.speedup,
-                 row.mean_batch, row.channel_scans_requested,
+                 row.channel_scans_requested,
                  row.channel_scans_unique, row.tensor_allocs,
                  row.plan_cache_hits, row.plan_cache_misses,
                  row.arena_bytes_high_water, row.modeled_latency_ms.p50,
@@ -624,7 +618,7 @@ int main(int argc, char** argv) {
     return pipeline.run(stream_config, shard_gate_factory);
   };
   util::Table shard_table({"Shards", "Frames/s", "Speedup", "J/frame",
-                           "Mean loss", "mAP (%)", "Mean batch"});
+                           "Mean loss", "mAP (%)"});
   double shard_base_fps = 0.0;
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     const runtime::PipelineReport merged =
@@ -635,12 +629,12 @@ int main(int argc, char** argv) {
         {std::to_string(shards), util::fmt(merged.frames_per_second, 1),
          util::fmt(merged.frames_per_second / shard_base_fps, 2) + "x",
          util::fmt(merged.mean_energy_j), util::fmt(merged.mean_loss),
-         util::fmt_pct(merged.map), util::fmt(merged.exec.mean_batch, 2)});
+         util::fmt_pct(merged.map)});
     const obs::MetricsRegistry merged_metrics =
         runtime::collect_run_metrics(merged);
     results.shard_rows.push_back(
         {shards, merged.frames_per_second,
-         merged.frames_per_second / shard_base_fps, merged.exec.mean_batch,
+         merged.frames_per_second / shard_base_fps,
          merged.exec.channel_scans_requested,
          merged.exec.channel_scans_unique, merged.exec.tensor_allocs,
          merged.exec.plan_cache_hits, merged.exec.plan_cache_misses,
@@ -707,15 +701,13 @@ int main(int argc, char** argv) {
   const runtime::PipelineReport& last_report = results.report;
   std::printf("Exec layer: %zu branch runs over %zu frames (%zu/%zu "
               "unique/requested channel scans);\nstems skipped on %zu frames; "
-              "%zu/%zu stem-cache hits/misses; mean batch %.2f "
-              "(max %zu, %zu frames batched); %zu tensor allocs (%zu "
+              "%zu/%zu stem-cache hits/misses; %zu tensor allocs (%zu "
               "zero-alloc frames, arena high water %zu bytes).\n",
               last_report.exec.branch_runs, last_report.frames,
               last_report.exec.channel_scans_unique,
               last_report.exec.channel_scans_requested,
               last_report.exec.stems_skipped, last_report.exec.stem_cache_hits,
-              last_report.exec.stem_cache_misses, last_report.exec.mean_batch,
-              last_report.exec.max_batch, last_report.exec.batched_frames,
+              last_report.exec.stem_cache_misses,
               last_report.exec.tensor_allocs,
               last_report.exec.zero_alloc_frames,
               last_report.exec.arena_bytes_high_water);

@@ -71,8 +71,7 @@ struct AdaptiveResult {
 
 /// Result of the selection phase of Algorithm 1 (steps 1–4): which φ* to
 /// run, plus the gate outputs. The split lets the streaming pipeline select
-/// for a whole control window first and then batch the execution of frames
-/// that picked the same configuration.
+/// for a whole control window first and then execute each frame's φ*.
 struct SelectionResult {
   std::size_t config_index = 0;
   std::vector<float> predicted_losses;   // gate output, size |Φ|
@@ -172,8 +171,8 @@ class EcoFusionEngine {
   [[nodiscard]] std::vector<detect::Detection> run_branch(
       BranchId branch, const dataset::Frame& frame) const;
 
-  /// The input grids branch `branch` consumes from `frame` (used by the
-  /// batched execution path to assemble detector batches).
+  /// The input grids branch `branch` consumes from `frame` (copies, in
+  /// the branch's input-channel order; run_branch feeds them to detect()).
   [[nodiscard]] std::vector<tensor::Tensor> branch_grids(
       BranchId branch, const dataset::Frame& frame) const;
 

@@ -67,20 +67,6 @@ std::vector<Detection> BranchDetector::scan_channel(
                                     scratch);
 }
 
-std::vector<std::vector<Detection>> BranchDetector::scan_channel_batch(
-    std::size_t channel, const std::vector<const tensor::Tensor*>& grids,
-    ScanScratch* scratch) const {
-  const RoiHead& head = roi_heads_.at(channel);
-  const std::vector<std::vector<Proposal>> proposals =
-      rpn_.propose_batch(grids, scratch);
-  std::vector<std::vector<Detection>> results;
-  results.reserve(grids.size());
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    results.push_back(head.run(*grids[i], proposals[i], scratch));
-  }
-  return results;
-}
-
 std::vector<Detection> BranchDetector::merge_channel_scans(
     std::vector<std::vector<Detection>> per_channel) const {
   if (per_channel.size() != config_.input_count) {
@@ -115,46 +101,18 @@ bool BranchDetector::scan_equivalent(std::size_t channel,
 
 std::vector<Detection> BranchDetector::detect(
     const std::vector<tensor::Tensor>& grids) const {
-  const std::vector<const std::vector<tensor::Tensor>*> batch = {&grids};
-  return std::move(detect_batch(batch).front());
-}
-
-std::vector<std::vector<Detection>> BranchDetector::detect_batch(
-    const std::vector<const std::vector<tensor::Tensor>*>& grids_per_frame)
-    const {
-  for (const std::vector<tensor::Tensor>* grids : grids_per_frame) {
-    if (grids == nullptr || grids->size() != config_.input_count) {
-      throw std::invalid_argument(
-          "BranchDetector '" + config_.name + "': expected " +
-          std::to_string(config_.input_count) + " grids, got " +
-          std::to_string(grids == nullptr ? 0 : grids->size()));
-    }
+  if (grids.size() != config_.input_count) {
+    throw std::invalid_argument("BranchDetector '" + config_.name +
+                                "': expected " +
+                                std::to_string(config_.input_count) +
+                                " grids, got " + std::to_string(grids.size()));
   }
-  // Scan channel-by-channel across the whole batch (one anchor generation
-  // per channel sweep), then merge per frame. Identical arithmetic to the
-  // flattened all-channels batch this replaces: anchors depend only on the
-  // grid extent, and each (frame, channel) pair still runs one
-  // propose + ROI pass on its own grid.
-  std::vector<std::vector<std::vector<Detection>>> scans(
-      grids_per_frame.size());
-  for (auto& frame_scans : scans) frame_scans.resize(config_.input_count);
-  std::vector<const tensor::Tensor*> channel_grids(grids_per_frame.size());
-  for (std::size_t c = 0; c < config_.input_count; ++c) {
-    for (std::size_t f = 0; f < grids_per_frame.size(); ++f) {
-      channel_grids[f] = &(*grids_per_frame[f])[c];
-    }
-    std::vector<std::vector<Detection>> channel_results =
-        scan_channel_batch(c, channel_grids);
-    for (std::size_t f = 0; f < grids_per_frame.size(); ++f) {
-      scans[f][c] = std::move(channel_results[f]);
-    }
+  std::vector<std::vector<Detection>> per_channel;
+  per_channel.reserve(grids.size());
+  for (std::size_t c = 0; c < grids.size(); ++c) {
+    per_channel.push_back(scan_channel(c, grids[c]));
   }
-  std::vector<std::vector<Detection>> results;
-  results.reserve(grids_per_frame.size());
-  for (auto& frame_scans : scans) {
-    results.push_back(merge_channel_scans(std::move(frame_scans)));
-  }
-  return results;
+  return merge_channel_scans(std::move(per_channel));
 }
 
 }  // namespace eco::detect

@@ -50,13 +50,13 @@ struct BranchConfig {
 /// One detector branch, decomposed into two stages the execution layer can
 /// schedule independently:
 ///   * a pure per-channel *scan* — RPN proposals + that channel's ROI head
-///     on one grid (scan_channel / scan_channel_batch); and
+///     on one grid (scan_channel); and
 ///   * a cheap per-branch *merge* — union + class-agnostic NMS of the
 ///     channels' scan results (merge_channel_scans; a single-channel branch
 ///     passes its scan through untouched).
-/// detect()/detect_batch() are exactly scan-then-merge, so callers that
-/// memoize scans across branches (exec/channel_scan_cache) produce bitwise
-/// identical detections to a whole-branch call.
+/// detect() is exactly scan-then-merge, so callers that memoize scans
+/// across branches (exec/channel_scan_cache) produce bitwise identical
+/// detections to a whole-branch call.
 class BranchDetector {
  public:
   /// `prototypes_per_input` supplies the ROI prototypes for each input
@@ -64,30 +64,16 @@ class BranchDetector {
   BranchDetector(BranchConfig config,
                  std::vector<std::vector<ClassPrototype>> prototypes_per_input);
 
-  /// Runs detection. `grids` must contain config().input_count grids of
-  /// identical shape (1,H,W).
+  /// Runs detection: scan_channel() on each input grid, then
+  /// merge_channel_scans(). `grids` must contain config().input_count grids
+  /// of shape (1,H,W).
   [[nodiscard]] std::vector<Detection> detect(
       const std::vector<tensor::Tensor>& grids) const;
-
-  /// Batched detection: one entry per frame, each holding this branch's
-  /// input grids. Anchor generation is shared across the whole batch (the
-  /// expensive per-call setup of the RPN); per-frame results are bitwise
-  /// identical to detect().
-  [[nodiscard]] std::vector<std::vector<Detection>> detect_batch(
-      const std::vector<const std::vector<tensor::Tensor>*>& grids_per_frame)
-      const;
 
   /// The per-channel scan: RPN proposals + channel `channel`'s ROI head on
   /// `grid`. `scratch`, when supplied, provides reusable scan buffers.
   [[nodiscard]] std::vector<Detection> scan_channel(
       std::size_t channel, const tensor::Tensor& grid,
-      ScanScratch* scratch = nullptr) const;
-
-  /// Batched scan of channel `channel` across many grids of one extent,
-  /// sharing one anchor generation; `scratch` is reused sequentially across
-  /// the batch. Per-grid results are bitwise identical to scan_channel().
-  [[nodiscard]] std::vector<std::vector<Detection>> scan_channel_batch(
-      std::size_t channel, const std::vector<const tensor::Tensor*>& grids,
       ScanScratch* scratch = nullptr) const;
 
   /// The per-branch merge of the channels' scan results, in channel order:

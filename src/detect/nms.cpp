@@ -34,13 +34,14 @@ namespace {
 /// original index asc) — for the real-valued scores NMS sees this is
 /// exactly std::stable_sort's order — but sorting 8-byte pairs avoids
 /// moving Detection payloads through a merge and its per-call temporary
-/// buffer. Thread-local staging reuses capacity across calls; the result
-/// is copied back with assign() so the caller's vector keeps its own
-/// capacity trajectory (a swap would make retained capacity depend on
-/// which thread ran which scan, and that shows up in arena accounting).
+/// buffer. The detections are then permuted in place by moves, one cycle of
+/// the permutation at a time, so no class_scores vector is copied and the
+/// caller's vector keeps its own buffer and capacity (a swap with a staging
+/// vector would make retained capacity depend on which thread ran which
+/// scan, and that shows up in arena accounting). The thread-local key
+/// buffer reuses its capacity across calls.
 void sort_by_score_descending(std::vector<Detection>& detections) {
   thread_local std::vector<std::pair<float, std::uint32_t>> order;
-  thread_local std::vector<Detection> sorted;
   order.clear();
   order.reserve(detections.size());
   for (std::size_t i = 0; i < detections.size(); ++i) {
@@ -52,12 +53,21 @@ void sort_by_score_descending(std::vector<Detection>& detections) {
               return a.first > b.first ||
                      (a.first == b.first && a.second < b.second);
             });
-  sorted.clear();
-  sorted.reserve(detections.size());
-  for (const auto& [score, index] : order) {
-    sorted.push_back(detections[index]);
+  // Position k takes the detection at order[k].second. Walking a cycle
+  // marks each filled position by pointing its entry at itself.
+  for (std::size_t start = 0; start < order.size(); ++start) {
+    if (order[start].second == start) continue;
+    Detection carried = std::move(detections[start]);
+    std::size_t dst = start;
+    for (;;) {
+      const std::size_t src = order[dst].second;
+      order[dst].second = static_cast<std::uint32_t>(dst);
+      if (src == start) break;
+      detections[dst] = std::move(detections[src]);
+      dst = src;
+    }
+    detections[dst] = std::move(carried);
   }
-  detections.assign(sorted.begin(), sorted.end());
 }
 
 #if defined(__SSE2__)

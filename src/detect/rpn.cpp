@@ -167,38 +167,7 @@ std::vector<Proposal> Rpn::propose(const tensor::Tensor& grid,
     return propose_with_plan(grid, plan, *scratch);
   }
   return propose_with_anchors(
-      grid, generate_anchors(grid.size(1), grid.size(2), config_.anchors),
-      nullptr);
-}
-
-std::vector<std::vector<Proposal>> Rpn::propose_batch(
-    const std::vector<const tensor::Tensor*>& grids,
-    ScanScratch* scratch) const {
-  std::vector<std::vector<Proposal>> proposals;
-  proposals.reserve(grids.size());
-  std::vector<Box> anchors;
-  std::size_t anchor_h = 0, anchor_w = 0;
-  for (const tensor::Tensor* grid : grids) {
-    if (grid == nullptr || grid->dim() != 3 || grid->size(0) != 1) {
-      throw std::invalid_argument("Rpn::propose_batch: expected (1,H,W) grid");
-    }
-    if (scratch != nullptr) {
-      // Shared plan (and, transitively, the precomputed scoring geometry)
-      // — identical values to a per-batch generation.
-      const ScanPlan& plan =
-          scratch->plan_for(grid->size(1), grid->size(2), config_);
-      proposals.push_back(propose_with_plan(*grid, plan, *scratch));
-      continue;
-    }
-    if (anchors.empty() || grid->size(1) != anchor_h ||
-        grid->size(2) != anchor_w) {
-      anchor_h = grid->size(1);
-      anchor_w = grid->size(2);
-      anchors = generate_anchors(anchor_h, anchor_w, config_.anchors);
-    }
-    proposals.push_back(propose_with_anchors(*grid, anchors, scratch));
-  }
-  return proposals;
+      grid, generate_anchors(grid.size(1), grid.size(2), config_.anchors));
 }
 
 namespace {
@@ -326,14 +295,10 @@ std::vector<Proposal> Rpn::propose_with_plan(const tensor::Tensor& grid,
 }
 
 std::vector<Proposal> Rpn::propose_with_anchors(
-    const tensor::Tensor& grid, const std::vector<Box>& anchors,
-    ScanScratch* scratch) const {
+    const tensor::Tensor& grid, const std::vector<Box>& anchors) const {
   const std::size_t h = grid.size(1), w = grid.size(2);
 
-  // With scratch, the smoothed grid, the integral table and the staging
-  // buffers reuse the caller's; the arithmetic is identical either way.
-  ScanScratch local;
-  ScanScratch& buffers = scratch != nullptr ? *scratch : local;
+  ScanScratch buffers;
   box_blur3_into(grid, buffers.smoothed, config_.backend);
   buffers.integral.reset(buffers.smoothed, config_.backend);
   const IntegralImage& integral = buffers.integral;

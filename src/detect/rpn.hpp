@@ -143,24 +143,15 @@ class Rpn {
   [[nodiscard]] std::vector<Proposal> propose(
       const tensor::Tensor& grid, ScanScratch* scratch = nullptr) const;
 
-  /// Same as propose(), with the anchor grid supplied by the caller.
-  /// Anchors depend only on the grid extent, so batched executors generate
-  /// them once per batch instead of once per grid; results are identical.
-  [[nodiscard]] std::vector<Proposal> propose_with_anchors(
-      const tensor::Tensor& grid, const std::vector<Box>& anchors,
-      ScanScratch* scratch = nullptr) const;
-
-  /// Batched proposal entry point: proposes on every grid (all the same
-  /// extent) sharing one anchor generation. `scratch`, when supplied, is
-  /// reused sequentially across the whole batch. Bitwise identical to
-  /// per-grid propose() calls.
-  [[nodiscard]] std::vector<std::vector<Proposal>> propose_batch(
-      const std::vector<const tensor::Tensor*>& grids,
-      ScanScratch* scratch = nullptr) const;
-
   [[nodiscard]] const RpnConfig& config() const noexcept { return config_; }
 
  private:
+  /// The scratch-free propose(): scoring over freshly generated `anchors`
+  /// (they depend only on the grid extent) in call-local buffers. Bitwise
+  /// identical to the plan path below.
+  [[nodiscard]] std::vector<Proposal> propose_with_anchors(
+      const tensor::Tensor& grid, const std::vector<Box>& anchors) const;
+
   /// Scoring over a shared plan's precomputed geometry — what every
   /// scratch-threaded propose runs. Both backends score in two passes: a
   /// contrast sweep into scratch->contrast (vectorized on simd), then the

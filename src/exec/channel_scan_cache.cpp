@@ -32,25 +32,12 @@ const std::vector<detect::Detection>& ChannelScanCache::scan(
     const std::size_t scan_id = plan.scan_id(branch, channel);
     obs::Span span(obs::Stage::kChannelScan);
     span.arg(static_cast<double>(scan_id));
-    span.arg(1.0);  // per-frame execution (the batcher spans its own)
     const dataset::SensorKind sensor = plan.scans[scan_id].sensor;
     slot = engine_.branch_detector(branch).scan_channel(
         channel, frame_.grid(sensor), scratch_);
     ++executed_;
   }
   return *slot;
-}
-
-bool ChannelScanCache::has(core::BranchId branch, std::size_t channel) const {
-  return slots_[slot_of(branch, channel)].has_value();
-}
-
-void ChannelScanCache::adopt(core::BranchId branch, std::size_t channel,
-                             std::vector<detect::Detection> detections) {
-  auto& slot = slots_[slot_of(branch, channel)];
-  if (slot) return;
-  slot = std::move(detections);
-  ++executed_;
 }
 
 }  // namespace eco::exec

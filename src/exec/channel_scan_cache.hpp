@@ -54,20 +54,10 @@ class ChannelScanCache {
   [[nodiscard]] const std::vector<detect::Detection>& scan(
       core::BranchId branch, std::size_t channel);
 
-  /// Whether the slot backing (branch, channel) already holds a result.
-  [[nodiscard]] bool has(core::BranchId branch, std::size_t channel) const;
-
-  /// Deposits an externally computed scan (the batched execution path runs
-  /// one scan across many frames in one call). No-op when the slot is
-  /// already filled; counts as one executed scan otherwise.
-  void adopt(core::BranchId branch, std::size_t channel,
-             std::vector<detect::Detection> detections);
-
-  [[nodiscard]] bool sharing() const noexcept { return share_; }
   /// Channel scans consumed by branch materializations on this frame.
   [[nodiscard]] std::size_t requested() const noexcept { return requested_; }
-  /// Channel scans actually executed (computed here or adopted) — the
-  /// "unique" count; equals requested() when sharing is off.
+  /// Channel scans actually executed — the "unique" count; equals
+  /// requested() when sharing is off.
   [[nodiscard]] std::size_t executed() const noexcept { return executed_; }
 
  private:

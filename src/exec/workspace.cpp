@@ -61,9 +61,8 @@ const fusion::DetectionList& FrameWorkspace::branch_detections(
     core::BranchId branch) {
   auto& slot = branches_[static_cast<std::size_t>(branch)];
   if (!slot) {
-    // Materialize the branch from its per-channel scans (any scan already
-    // cached — pulled by an earlier branch or deposited by the batcher —
-    // is reused) and the branch's own merge. Identical arithmetic to
+    // Materialize the branch from its per-channel scans (any scan an
+    // earlier branch already pulled is reused) and the branch's own merge. Identical arithmetic to
     // engine().run_branch, per the detector's scan decomposition contract.
     const detect::BranchDetector& detector = engine_.branch_detector(branch);
     const std::size_t channels = detector.config().input_count;

@@ -84,21 +84,12 @@ class FrameWorkspace final : public gating::FeatureSource {
   [[nodiscard]] const fusion::DetectionList& branch_detections(
       core::BranchId branch);
 
-  [[nodiscard]] bool has_branch(core::BranchId branch) const noexcept {
-    return branches_[static_cast<std::size_t>(branch)].has_value();
-  }
-
   /// Ground-truth fusion loss L_f(φ) of every configuration; each branch
   /// executes at most once (shared with any later branch consumer).
   [[nodiscard]] const std::vector<float>& config_losses();
 
-  /// The frame's channel-scan cache (the BranchBatcher deposits batched
-  /// scan results through it).
+  /// The frame's channel-scan cache.
   [[nodiscard]] ChannelScanCache& channel_scans() noexcept { return scans_; }
-
-  /// The frame's arena (external when one was supplied, else the private
-  /// one). The batcher borrows its scan scratch for batched scans.
-  [[nodiscard]] FrameArena& arena() noexcept { return *arena_; }
 
   // ---- observability --------------------------------------------------
   /// Branch executions attributed to this frame (memoized reuse is free).

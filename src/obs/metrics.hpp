@@ -1,7 +1,7 @@
 // Named counters/gauges and fixed-bucket log₂ histograms.
 //
 // The runtime's determinism contract splits telemetry into two families:
-// *modeled* quantities (modeled latency, batch sizes, scan dedup ratios)
+// *modeled* quantities (modeled latency, scan dedup ratios)
 // that must stay bitwise identical across worker and shard counts, and
 // *wall-clock* quantities that are observability-only. Histograms here
 // serve both, because the representation is deterministic by construction:

@@ -31,11 +31,9 @@ constexpr std::array<StageInfo, kNumStages> kStages = {{
     {"phase_a_select", "runtime", {"config", "slot", nullptr, nullptr}},
     {"stem_compute", "exec", {"sequence", nullptr, nullptr, nullptr}},
     {"stem_cache_hit", "exec", {"sequence", nullptr, nullptr, nullptr}},
-    {"channel_scan", "exec", {"scan_id", "batch", nullptr, nullptr}},
-    {"phase_b_batch", "runtime", {"config", "batch", nullptr, nullptr}},
+    {"channel_scan", "exec", {"scan_id", nullptr, nullptr, nullptr}},
     {"nms_merge", "engine", {"config", "branches", nullptr, nullptr}},
-    {"finish_frame", "runtime",
-     {"config", "batch", "arena_bytes", nullptr}},
+    {"finish_frame", "runtime", {"config", "arena_bytes", nullptr, nullptr}},
     {"window_update", "control", {"lambda_e", "lambda_l", "frames", nullptr}},
     {"shard_merge", "runtime", {"shards", "frames", nullptr, nullptr}},
     {"scheduler_idle", "scheduler", {"worker", nullptr, nullptr, nullptr}},

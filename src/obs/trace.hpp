@@ -4,11 +4,11 @@
 // the only visibility into a run was end-of-run aggregates — nobody could
 // see where a frame's 0.6 ms went or why a shard stalled. The tracer records
 // begin/end spans for every pipeline stage (stream pull, phase-A select,
-// stem compute/cache-hit, channel scan, phase-B batch execute, NMS/merge,
-// per-frame finish, control-window update, shard merge) into *per-thread
-// ring buffers* and exports them as Chrome trace_event JSON, viewable in
-// Perfetto (ui.perfetto.dev) with one process lane per engine shard and one
-// thread lane per worker.
+// stem compute/cache-hit, channel scan, NMS/merge, per-frame finish,
+// control-window update, shard merge) into *per-thread ring buffers* and
+// exports them as Chrome trace_event JSON, viewable in Perfetto
+// (ui.perfetto.dev) with one process lane per engine shard and one thread
+// lane per worker.
 //
 // Design constraints, in priority order:
 //
@@ -51,10 +51,9 @@ enum class Stage : std::uint8_t {
   kSelect,           // phase A: Algorithm 1 steps 1-4 for one frame
   kStemCompute,      // stem features computed (no cache / cache miss)
   kStemCacheHit,     // stem features resolved from the temporal cache
-  kChannelScan,      // one unique channel scan (per-frame or batched)
-  kBatchExecute,     // phase B: batched scan execution for one group
+  kChannelScan,      // one unique channel scan of one frame
   kNmsMerge,         // per-configuration fusion + NMS + scoring
-  kFinishFrame,      // per-frame execute/fuse/loss/accounting tail
+  kFinishFrame,      // phase B: one frame's execute/fuse/loss/accounting
   kWindowUpdate,     // control-window reduction + λ updates
   kShardMerge,       // sharded-report merge + finalize
   kSchedulerIdle,    // a pool worker waiting for work (starvation gap)

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "exec/batcher.hpp"
 #include "exec/stem_cache.hpp"
 #include "obs/trace.hpp"
 #include "tensor/plan_cache.hpp"
@@ -51,21 +50,8 @@ struct WindowState {
   core::JointOptParams params;
   std::size_t base = 0;  // offset of this state's slot set
 
-  // Phase-B grouping, formed by the last phase-A lane (deterministic:
-  // ascending selected-config order over slot order). Buffers are reused
-  // across windows, so steady-state formation does not allocate.
-  struct Group {
-    std::size_t selected = 0;
-    std::size_t begin = 0;  // [begin, end) into group_slots
-    std::size_t end = 0;
-  };
-  std::vector<Group> groups;
-  std::vector<std::size_t> group_slots;
-  std::size_t batches = 0;
-  std::size_t max_batch = 0;
-
   // Dependency tracking. lanes_remaining elects the last-finishing phase-A
-  // lane, which forms + submits phase B and releases select_done; every
+  // lane, which releases select_done and submits phase B; every
   // finished frame counts window_done down. The driver blocks only here —
   // there is no pool-wide barrier anywhere in the window path.
   std::atomic<std::size_t> lanes_remaining{0};
@@ -79,7 +65,6 @@ struct WindowState {
 struct RunContext {
   const core::EcoFusionEngine* engine;
   ThreadPool* pool;
-  const exec::BranchBatcher* batcher;
   exec::TemporalStemCache* stem_cache;  // nullptr when disabled
   std::vector<std::unique_ptr<gating::Gate>>* gates;
   Slot* slots;
@@ -88,10 +73,61 @@ struct RunContext {
   std::size_t shard_lane;
   bool keep_results;
   bool share_channel_scans;
-  bool batch_branches;
 };
 
-void submit_phase_b(RunContext& ctx, WindowState& w);
+// Phase B for one frame: execute the selected configuration, fuse, score,
+// and record the slot's FrameStats. Counts the window's completion event
+// down once done.
+void finish_frame(RunContext& ctx, WindowState& w, std::size_t local) {
+  Slot& slot = ctx.slots[w.base + local];
+  {
+    obs::ShardScope scope(ctx.shard_lane, ctx.trace);
+    obs::Span span(obs::Stage::kFinishFrame);
+    span.arg(static_cast<double>(slot.selection));
+    const auto frame_start = std::chrono::steady_clock::now();
+    exec::FrameWorkspace& ws = *slot.workspace;
+    const std::uint64_t allocs_before = tensor::tensor_alloc_count();
+    const std::uint64_t plan_hits_before = tensor::plan_cache_hit_count();
+    const std::uint64_t plan_misses_before = tensor::plan_cache_miss_count();
+    const core::RunResult run =
+        ctx.engine->run_selected(ws, slot.selection, ctx.complexity);
+    ws.note_tensor_allocs(static_cast<std::size_t>(
+        tensor::tensor_alloc_count() - allocs_before));
+    ws.note_plan_cache(static_cast<std::size_t>(tensor::plan_cache_hit_count() -
+                                                plan_hits_before),
+                       static_cast<std::size_t>(
+                           tensor::plan_cache_miss_count() -
+                           plan_misses_before));
+    const StreamFrame& sf = w.frames[local];
+    FrameStats stats;
+    stats.stream_index = sf.index;
+    stats.scene = sf.scene;
+    stats.config_index = run.config_index;
+    stats.loss = run.loss.total();
+    stats.energy_j = run.energy_j;
+    stats.latency_ms = run.latency_ms;
+    stats.lambda_energy = w.params.lambda_energy;
+    stats.lambda_latency = w.params.lambda_latency;
+    stats.detections = run.detections.size();
+    stats.stem_source = ws.stem_source();
+    stats.branch_runs = ws.branch_executions();
+    stats.channel_scans_requested = ws.channel_scans_requested();
+    stats.channel_scans_unique = ws.channel_scans_unique();
+    stats.tensor_allocs = ws.tensor_allocs();
+    stats.plan_cache_hits = ws.plan_cache_hits();
+    stats.plan_cache_misses = ws.plan_cache_misses();
+    stats.arena_bytes_high_water = ws.arena_bytes_high_water();
+    stats.wall_ms = elapsed_ms(frame_start);
+    span.arg(static_cast<double>(stats.arena_bytes_high_water));
+    slot.stats = stats;
+    if (ctx.keep_results) {
+      slot.result = {run.detections, sf.frame.objects};
+    }
+  }
+  // After the span closed (its ring write must precede a driver that might
+  // tear tracing state down after the commit).
+  w.window_done.count_down();
+}
 
 // Phase A for one sequence lane: construct workspaces and run Algorithm 1
 // steps 1-4 for each of the lane's slots in stream order.
@@ -128,174 +164,21 @@ void run_lane(RunContext& ctx, WindowState& w, std::size_t lane_index,
       span.arg(static_cast<double>(local));
     }
   }
-  // The last lane to finish owns the window's phase-B formation. The
-  // acq_rel decrement makes every lane's selections visible to it.
+  // The last lane to finish owns the window's phase B. The acq_rel
+  // decrement makes every lane's selections visible to it.
   if (w.lanes_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Release the driver first (it may start the next window's phase A —
     // chained behind this event so per-sequence stem refreshes never
-    // overlap), then fan phase B out.
+    // overlap), then submit one finish task per slot, in slot order. The
+    // window may complete the moment its last finish task is handed to the
+    // pool, after which `w` (driver stack) may be reused or gone: the loop
+    // bound is a local copy, and `w` is read only before the first submit.
     w.select_done.count_down();
-    submit_phase_b(ctx, w);
-  }
-}
-
-// Per-frame phase-B tail: execute the selected configuration, fuse, score,
-// and record the slot's FrameStats. Counts the window's completion event
-// down once done.
-void finish_frame(RunContext& ctx, WindowState& w, std::size_t group_index,
-                  std::size_t local, double shared_wall_ms) {
-  const WindowState::Group& g = w.groups[group_index];
-  const std::size_t batch = g.end - g.begin;
-  Slot& slot = ctx.slots[w.base + local];
-  {
-    obs::ShardScope scope(ctx.shard_lane, ctx.trace);
-    obs::Span span(obs::Stage::kFinishFrame);
-    span.arg(static_cast<double>(g.selected));
-    span.arg(static_cast<double>(batch));
-    const auto frame_start = std::chrono::steady_clock::now();
-    exec::FrameWorkspace& ws = *slot.workspace;
-    const std::uint64_t allocs_before = tensor::tensor_alloc_count();
-    const std::uint64_t plan_hits_before = tensor::plan_cache_hit_count();
-    const std::uint64_t plan_misses_before = tensor::plan_cache_miss_count();
-    const core::RunResult run =
-        ctx.engine->run_selected(ws, g.selected, ctx.complexity);
-    ws.note_tensor_allocs(static_cast<std::size_t>(
-        tensor::tensor_alloc_count() - allocs_before));
-    ws.note_plan_cache(static_cast<std::size_t>(tensor::plan_cache_hit_count() -
-                                                plan_hits_before),
-                       static_cast<std::size_t>(
-                           tensor::plan_cache_miss_count() -
-                           plan_misses_before));
-    const StreamFrame& sf = w.frames[local];
-    FrameStats stats;
-    stats.stream_index = sf.index;
-    stats.scene = sf.scene;
-    stats.config_index = run.config_index;
-    stats.loss = run.loss.total();
-    stats.energy_j = run.energy_j;
-    stats.latency_ms = run.latency_ms;
-    stats.lambda_energy = w.params.lambda_energy;
-    stats.lambda_latency = w.params.lambda_latency;
-    stats.detections = run.detections.size();
-    stats.stem_source = ws.stem_source();
-    stats.batch_size = batch;
-    stats.branch_runs = ws.branch_executions();
-    stats.channel_scans_requested = ws.channel_scans_requested();
-    stats.channel_scans_unique = ws.channel_scans_unique();
-    stats.tensor_allocs = ws.tensor_allocs();
-    stats.plan_cache_hits = ws.plan_cache_hits();
-    stats.plan_cache_misses = ws.plan_cache_misses();
-    stats.arena_bytes_high_water = ws.arena_bytes_high_water();
-    stats.wall_ms = shared_wall_ms + elapsed_ms(frame_start);
-    span.arg(static_cast<double>(stats.arena_bytes_high_water));
-    slot.stats = stats;
-    if (ctx.keep_results) {
-      slot.result = {run.detections, sf.frame.objects};
-    }
-  }
-  // After the span closed (its ring write must precede a driver that might
-  // tear tracing state down after the commit).
-  w.window_done.count_down();
-}
-
-// Batched phase-B execution for one group: run the unique channel scans of
-// the selected configuration across the whole group, then fan the per-frame
-// tails back out to the pool.
-void run_batch(RunContext& ctx, WindowState& w, std::size_t group_index) {
-  // By value: once this function submits the group's LAST finish task, the
-  // window can complete and the driver may destroy `w` — from that point on
-  // only this copy (and other locals) may be read.
-  const WindowState::Group g = w.groups[group_index];
-  const std::size_t size = g.end - g.begin;
-  double shared_ms = 0.0;
-  {
-    obs::ShardScope scope(ctx.shard_lane, ctx.trace);
-    obs::Span batch_span(obs::Stage::kBatchExecute);
-    batch_span.arg(static_cast<double>(g.selected));
-    batch_span.arg(static_cast<double>(size));
-    const auto batch_start = std::chrono::steady_clock::now();
-    std::vector<exec::FrameWorkspace*> batch_group;
-    batch_group.reserve(size);
-    for (std::size_t i = g.begin; i < g.end; ++i) {
-      batch_group.push_back(
-          ctx.slots[w.base + w.group_slots[i]].workspace.get());
-    }
-    // Batched-scan allocations are attributed to the group's first frame
-    // (the batch writes through that frame's scratch); group composition
-    // is deterministic, so the attribution is too. The per-frame finish
-    // tasks fan out only after this note, so no one reads the counter
-    // concurrently.
-    const std::uint64_t allocs_before = tensor::tensor_alloc_count();
-    const std::uint64_t plan_hits_before = tensor::plan_cache_hit_count();
-    const std::uint64_t plan_misses_before = tensor::plan_cache_miss_count();
-    ctx.batcher->execute(g.selected, batch_group);
-    batch_group.front()->note_tensor_allocs(static_cast<std::size_t>(
-        tensor::tensor_alloc_count() - allocs_before));
-    batch_group.front()->note_plan_cache(
-        static_cast<std::size_t>(tensor::plan_cache_hit_count() -
-                                 plan_hits_before),
-        static_cast<std::size_t>(tensor::plan_cache_miss_count() -
-                                 plan_misses_before));
-    shared_ms = elapsed_ms(batch_start) / static_cast<double>(size);
-  }
-  for (std::size_t i = g.begin; i < g.end; ++i) {
-    // Reading group_slots[i] here is safe: slot i's own finish task has not
-    // been submitted yet, so its window_done count is still pending and the
-    // driver cannot have freed the window.
-    const std::size_t local = w.group_slots[i];
-    ctx.pool->submit([c = &ctx, ww = &w, group_index, local,
-                      shared_ms](std::size_t) {
-      finish_frame(*c, *ww, group_index, local, shared_ms);
-    });
-  }
-}
-
-// Forms the window's phase-B groups from the (deterministic) selections in
-// slot order and submits them. Runs exactly once per window, on whichever
-// worker finished the window's last phase-A lane. batch_size reports the
-// group's size whether or not batched execution is enabled — grouping
-// depends only on the selections, so reports stay bitwise identical
-// across the toggle.
-void submit_phase_b(RunContext& ctx, WindowState& w) {
-  std::map<std::size_t, std::vector<std::size_t>> grouped;
-  for (std::size_t local = 0; local < w.frames.size(); ++local) {
-    grouped[ctx.slots[w.base + local].selection].push_back(local);
-  }
-  w.groups.clear();
-  w.group_slots.clear();
-  w.batches = grouped.size();
-  w.max_batch = 0;
-  for (const auto& [selected, members] : grouped) {
-    w.max_batch = std::max(w.max_batch, members.size());
-    WindowState::Group g;
-    g.selected = selected;
-    g.begin = w.group_slots.size();
-    g.end = g.begin + members.size();
-    w.groups.push_back(g);
-    w.group_slots.insert(w.group_slots.end(), members.begin(), members.end());
-  }
-  // From the first submission below, the window may complete the moment its
-  // last task is handed to the pool — after that, `w` (driver stack) may be
-  // gone. Loop bounds are therefore local copies; reads of `w` at the top of
-  // an iteration are safe because that iteration's own completion counts are
-  // still pending at that point.
-  const std::size_t group_count = w.groups.size();
-  for (std::size_t gi = 0; gi < group_count; ++gi) {
-    const WindowState::Group g = w.groups[gi];
-    if (ctx.batch_branches && g.end - g.begin > 1) {
-      // One task runs the batched branch execution, then fans the
-      // per-frame tails back out so a large group doesn't serialise the
-      // window on one worker.
-      ctx.pool->submit([c = &ctx, ww = &w, gi](std::size_t) {
-        run_batch(*c, *ww, gi);
+    const std::size_t frames = w.frames.size();
+    for (std::size_t local = 0; local < frames; ++local) {
+      ctx.pool->submit([c = &ctx, ww = &w, local](std::size_t) {
+        finish_frame(*c, *ww, local);
       });
-    } else {
-      for (std::size_t i = g.begin; i < g.end; ++i) {
-        const std::size_t local = w.group_slots[i];
-        ctx.pool->submit([c = &ctx, ww = &w, gi, local](std::size_t) {
-          finish_frame(*c, *ww, gi, local, 0.0);
-        });
-      }
     }
   }
 }
@@ -380,7 +263,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
         std::max(config_.stem_cache_sequences, 2 * config_.window);
     stem_cache.emplace(engine_.stems(), cache_config);
   }
-  const exec::BranchBatcher batcher(engine_);
 
   PipelineReport report;
   std::vector<eval::FrameResult> frame_results;
@@ -399,7 +281,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
 
   RunContext ctx{&engine_,
                  &pool,
-                 &batcher,
                  stem_cache ? &*stem_cache : nullptr,
                  &gates,
                  slots.data(),
@@ -407,8 +288,7 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
                  trace,
                  shard_lane,
                  config_.keep_frame_results,
-                 config_.share_channel_scans,
-                 config_.batch_branches};
+                 config_.share_channel_scans};
 
   // With a controller configured, λ(W+1) depends on window W's fold — a
   // true serialization, so the in-flight depth drops to 1 (stream pull
@@ -448,8 +328,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
     window_span.arg(w.params.lambda_energy);
     window_span.arg(w.params.lambda_latency);
     window_span.arg(static_cast<double>(w.frames.size()));
-    report.exec.batches += w.batches;
-    report.exec.max_batch = std::max(report.exec.max_batch, w.max_batch);
     double window_energy = 0.0;
     double window_latency = 0.0;
     for (std::size_t local = 0; local < w.frames.size(); ++local) {
@@ -550,8 +428,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
       stem_cache->retain(live);
     }
 
-    w.batches = 0;
-    w.max_batch = 0;
     w.select_done.reset(1);
     w.window_done.reset(w.frames.size());
     w.lanes_remaining.store(w.lanes.size(), std::memory_order_relaxed);
@@ -620,8 +496,6 @@ void finalize_report(PipelineReport& report) {
   report.exec.branch_runs = 0;
   report.exec.channel_scans_requested = 0;
   report.exec.channel_scans_unique = 0;
-  report.exec.batched_frames = 0;
-  report.exec.mean_batch = 0.0;
   report.exec.tensor_allocs = 0;
   report.exec.plan_cache_hits = 0;
   report.exec.plan_cache_misses = 0;
@@ -644,7 +518,6 @@ void finalize_report(PipelineReport& report) {
     report.exec.arena_bytes_high_water = std::max(
         report.exec.arena_bytes_high_water, stats.arena_bytes_high_water);
     if (stats.tensor_allocs == 0) report.exec.zero_alloc_frames += 1;
-    if (stats.batch_size > 1) report.exec.batched_frames += 1;
     switch (stats.stem_source) {
       case exec::StemSource::kSkipped: report.exec.stems_skipped += 1; break;
       case exec::StemSource::kComputed: report.exec.stems_computed += 1; break;
@@ -659,7 +532,6 @@ void finalize_report(PipelineReport& report) {
     scene.mean_loss += stats.loss;
     scene.mean_energy_j += stats.energy_j;
     scene.mean_latency_ms += stats.latency_ms;
-    scene.mean_batch += static_cast<double>(stats.batch_size);
     if (stats.stem_source == exec::StemSource::kCacheHit) {
       scene.stem_cache_hits += 1;
     } else if (stats.stem_source == exec::StemSource::kCacheMiss) {
@@ -673,10 +545,7 @@ void finalize_report(PipelineReport& report) {
     report.mean_loss /= n;
     report.mean_wall_ms /= n;
   }
-  if (report.exec.batches > 0) {
-    report.exec.mean_batch = static_cast<double>(report.frames) /
-                             static_cast<double>(report.exec.batches);
-  }
+  report.exec.mean_batch = report.frames > 0 ? 1.0 : 0.0;
   // Overall mAP, then per-scene mAP over non-owning views of the same
   // results (frame_results stays intact for downstream consumers such as
   // the sharded merge).
@@ -695,7 +564,6 @@ void finalize_report(PipelineReport& report) {
     scene.mean_loss /= n;
     scene.mean_energy_j /= n;
     scene.mean_latency_ms /= n;
-    scene.mean_batch /= n;
     if (have_results) {
       scene.map = eval::mean_average_precision(scene_results[type]);
     }
@@ -710,12 +578,10 @@ obs::MetricsRegistry collect_run_metrics(const PipelineReport& report) {
   // the report's determinism for free (histogram counts are integers; the
   // shard merge concatenates the same records, so merged metrics match).
   obs::Histogram& latency = metrics.histogram("modeled/latency_ms");
-  obs::Histogram& batch = metrics.histogram("modeled/batch_size");
   obs::Histogram& dedup = metrics.histogram("modeled/scan_dedup_ratio");
   obs::Histogram& wall = metrics.histogram("obs/wall_ms");
   for (const FrameStats& stats : report.frame_stats) {
     latency.record(stats.latency_ms);
-    batch.record(static_cast<double>(stats.batch_size));
     if (stats.channel_scans_unique > 0) {
       dedup.record(static_cast<double>(stats.channel_scans_requested) /
                    static_cast<double>(stats.channel_scans_unique));

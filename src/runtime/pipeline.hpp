@@ -14,30 +14,27 @@
 //   A) *select* — frames are grouped by sequence (so the TemporalStemCache
 //      sees each sequence's frames in order) and Algorithm 1 steps 1–4 run
 //      per frame against a FrameWorkspace;
-//   B) *execute* — frames that selected the same configuration φ* form one
-//      batch, and the BranchBatcher runs each *unique channel scan* of φ*'s
-//      branches across the whole batch (a channel shared by several
-//      branches is scanned once per frame; see exec/channel_scan_cache.hpp)
-//      before per-frame merge/fusion/loss/accounting.
-// Both phases are pure optimizations: results are bitwise identical with
-// caching, batching and channel-scan sharing on or off, and with any worker
-// count (the scan counters' unique/requested split is the one field that
-// legitimately moves with the sharing toggle).
+//   B) *execute* — one finish task per frame runs its selected
+//      configuration φ*: the channel scans of φ*'s branches (a channel
+//      shared by several branches is scanned once per frame; see
+//      exec/channel_scan_cache.hpp), then merge/fusion/loss/accounting.
+// Results are bitwise identical with caching and channel-scan sharing on
+// or off, and with any worker count (the scan counters' unique/requested
+// split is the one field that legitimately moves with the sharing toggle).
 //
-// Windows are dispatched through per-window dependency tracking, not
-// pool-wide barriers (PR 8): each in-flight window owns two completion
-// events — select_done (every phase-A lane finished; the last lane forms
-// the phase-B groups and submits them as a continuation) and window_done
-// (every frame finished). The driver only ever blocks on those events at
-// the stream-order commit point, so with no controller configured, window
-// W+1's phase A overlaps window W's phase B (two windows in flight over
-// ping-ponged slot sets). With a budget/deadline controller the depth
-// drops to 1 — λ(W+1) genuinely depends on window W's fold — but even
-// then the stream pull of W+1 overlaps W's execution and the two
-// pool-wide barriers per window are gone. PipelineConfig::pipeline_windows
-// = false forces depth 1; the slot topology does NOT change with the
-// toggle (see stem_cache_sequences note), so reports stay bitwise
-// identical across it.
+// Windows are dispatched through per-window dependency tracking, not pool-wide
+// barriers (PR 8): each in-flight window owns two completion events —
+// select_done (every phase-A lane finished; the last lane submits the window's
+// finish tasks, in slot order, as a continuation) and window_done (every frame
+// finished). The driver only ever blocks on those events at the stream-order
+// commit point, so with no controller configured, window W+1's phase A overlaps
+// window W's phase B (two windows in flight over ping-ponged slot sets). With a
+// budget/deadline controller the depth drops to 1 — λ(W+1) genuinely depends on
+// window W's fold — but even then the stream pull of W+1 overlaps W's execution
+// and the two pool-wide barriers per window are gone.
+// PipelineConfig::pipeline_windows = false forces depth 1; the slot topology
+// does NOT change with the toggle (see stem_cache_sequences note), so reports
+// stay bitwise identical across it.
 //
 // The pipeline can run on a pool it owns (run/2) or as one client of a
 // shared pool (run/3): the sharded front-end (runtime/shard.hpp) drives one
@@ -47,21 +44,21 @@
 //
 // Determinism contract: aggregate results — per-frame selections, losses,
 // energies, modeled latencies, the λ_E/λ_L traces, the per-scene breakdown,
-// mAP, and the exec counters — are a pure function of (engine, stream
-// config, pipeline config, gate factory). The worker count (and pool
-// sharing) changes only wall-clock throughput. This holds because (a)
-// stream order is timing-independent, (b) per-frame work is independent
-// given the window weights, (c) weights only change at window barriers from
-// window aggregates accumulated in stream order (the deadline loop observes
-// *modeled* latency, never wall-clock), (d) final reduction runs in stream
-// order on one thread, and (e) stem cache hits depend only on sequence
+// mAP, and the exec counters — are a pure function of (engine, stream config,
+// pipeline config, gate factory). The worker count (and pool sharing) changes
+// only wall-clock throughput. This holds because (a) stream order is
+// timing-independent, (b) per-frame work is independent given the window
+// weights (a finish task reads and writes only its own slot, so the order
+// finishes run in is unobservable), (c) weights only change at window barriers
+// from window aggregates accumulated in stream order (the deadline loop
+// observes *modeled* latency, never wall-clock), (d) final reduction runs in
+// stream order on one thread, and (e) stem cache hits depend only on sequence
 // grouping, which is fixed by the stream order — window W+1's phase A is
-// chained behind window W's select_done event, so per-sequence cache
-// refreshes stay sequential and retain() arguments are pure stream-order
-// functions even when windows overlap. Wall-clock fields
-// (wall_seconds, frames_per_second, FrameStats::wall_ms, mean_wall_ms) are
-// explicitly outside the contract. tests/runtime_test.cpp and
-// tests/shard_test.cpp pin the contract bitwise.
+// chained behind window W's select_done event, so per-sequence cache refreshes
+// stay sequential and retain() arguments are pure stream-order functions even
+// when windows overlap. Wall-clock fields (wall_seconds, frames_per_second,
+// FrameStats::wall_ms, mean_wall_ms) are explicitly outside the contract.
+// tests/runtime_test.cpp and tests/shard_test.cpp pin the contract bitwise.
 #pragma once
 
 #include <functional>
@@ -108,9 +105,6 @@ struct PipelineConfig {
   /// Reuse/delta-refresh stem features across frames of one sequence
   /// (bitwise-invisible; see exec/stem_cache.hpp).
   bool temporal_stem_cache = true;
-  /// Batch branch execution across a window's frames that selected the
-  /// same configuration (bitwise-invisible; see exec/batcher.hpp).
-  bool batch_branches = true;
   /// Share channel scans across branches within a frame (bitwise-invisible;
   /// see exec/channel_scan_cache.hpp). Off = every branch re-scans its own
   /// channels — the verification path the CI bench smoke pins against.
@@ -150,16 +144,14 @@ struct FrameStats {
   /// Modeled PX2 latency of the frame's pass (deterministic; used by every
   /// latency aggregate and by the deadline loop).
   double latency_ms = 0.0;
-  /// Measured wall-clock execution time attributed to this frame (phase-B
-  /// share). Observability only — NOT covered by determinism.
+  /// Measured wall-clock time of this frame's phase-B finish task.
+  /// Observability only — NOT covered by determinism.
   double wall_ms = 0.0;
   float lambda_energy = 0.0f;   // λ_E in force for this frame
   float lambda_latency = 0.0f;  // λ_L in force for this frame
   std::size_t detections = 0;
   /// How this frame's stem features were obtained.
   exec::StemSource stem_source = exec::StemSource::kSkipped;
-  /// Size of the phase-B execution group this frame ran in (1 = alone).
-  std::size_t batch_size = 1;
   /// Branch executions attributed to this frame (reuse is free).
   std::size_t branch_runs = 0;
   /// Channel scans the frame's branches consumed (one per branch input
@@ -169,8 +161,8 @@ struct FrameStats {
   std::size_t channel_scans_requested = 0;
   std::size_t channel_scans_unique = 0;
   /// Tensor-buffer heap allocations attributed to this frame's execution
-  /// (tensor::tensor_alloc_count deltas over the frame's selection,
-  /// batched-scan and execution stretches). Frames through a warmed slot
+  /// (tensor::tensor_alloc_count deltas over the frame's selection and
+  /// finish stretches). Frames through a warmed slot
   /// arena report 0 — the first window through each slot set pays the
   /// warm-up. The pipeline keeps two ping-ponged slot sets (window index
   /// parity) so pipelined windows never share live slots; the first TWO
@@ -202,10 +194,10 @@ struct ExecCounters {
   std::size_t branch_runs = 0;       // total branch executions
   std::size_t channel_scans_requested = 0;  // channel scans consumed
   std::size_t channel_scans_unique = 0;     // channel scans executed
-  std::size_t batches = 0;           // phase-B execution groups
-  std::size_t batched_frames = 0;    // frames in groups of size > 1
-  std::size_t max_batch = 0;         // largest group
-  double mean_batch = 0.0;           // frames / batches
+  /// 1 for a non-empty run (each frame finishes alone), else 0. Kept only
+  /// because perfbench/driver/workloads.cpp reads it; a [benchmark] change
+  /// retires it.
+  double mean_batch = 0.0;
   std::size_t tensor_allocs = 0;     // sum of per-frame tensor allocations
   std::size_t plan_cache_hits = 0;   // scan-plan cache hits across frames
   std::size_t plan_cache_misses = 0; // scan-plan cache builds across frames
@@ -228,7 +220,6 @@ struct SceneReport {
   double map = 0.0;  // 0 when keep_frame_results is off
   std::size_t stem_cache_hits = 0;
   std::size_t stem_cache_misses = 0;
-  double mean_batch = 0.0;  // mean phase-B group size of this scene's frames
 };
 
 /// One contributing pipeline's per-window control trajectory. A single
@@ -258,7 +249,7 @@ struct PipelineReport {
   std::size_t total_detections = 0;
   float final_lambda = 0.0f;          // λ_E after the last window
   float final_lambda_latency = 0.0f;  // λ_L after the last window
-  ExecCounters exec;                   // cache/batch observability
+  ExecCounters exec;                   // cache/scan/arena observability
   std::vector<float> lambda_trace;     // λ_E per control window
   std::vector<float> deadline_trace;   // λ_L per control window
   /// Per-shard λ trajectories: one slice per contributing pipeline. A
@@ -281,22 +272,20 @@ struct PipelineReport {
   // Wall-clock measurements; NOT covered by the determinism contract.
   double wall_seconds = 0.0;
   double frames_per_second = 0.0;
-  double mean_wall_ms = 0.0;  // mean per-frame phase-B wall attribution
+  double mean_wall_ms = 0.0;  // mean per-frame finish wall time
 };
 
 /// Recomputes every derived aggregate of `report` from report.frame_stats
-/// (plus report.frame_results when present): totals, means, the per-scene
-/// table, per-frame exec counters, and mAP. Inputs the caller must have
-/// set: frame_stats (stream order), frame_results (aligned or empty),
-/// exec.batches and exec.max_batch (group-level counters that are not
-/// derivable per frame). Reduction runs in frame_stats order with exact
-/// sums, so any caller assembling the same per-frame records — one
-/// pipeline, or a sharded merge — obtains bitwise-identical aggregates.
+/// (stream order) and report.frame_results (aligned or empty): totals,
+/// means, the per-scene table, the exec counters, and mAP. Reduction runs
+/// in frame_stats order with exact sums, so any caller assembling the same
+/// per-frame records — one pipeline, or a sharded merge — obtains
+/// bitwise-identical aggregates.
 void finalize_report(PipelineReport& report);
 
 /// Derives a metrics registry from a finished report's per-frame records
 /// (stream order, single-threaded — trivially deterministic). Histograms:
-/// "modeled/latency_ms", "modeled/batch_size", "modeled/scan_dedup_ratio"
+/// "modeled/latency_ms", "modeled/scan_dedup_ratio"
 /// (covered by the determinism contract: invariant to worker count, and
 /// merging per-shard registries equals collecting from the merged report)
 /// and "obs/wall_ms" (wall-clock, observability only). Plus the exec

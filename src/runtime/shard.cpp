@@ -111,9 +111,6 @@ ShardedReport ShardedPipeline::run(const StreamConfig& stream_config,
     if (report.frame_results.size() != report.frame_stats.size()) {
       have_results = false;
     }
-    merged.exec.batches += report.exec.batches;
-    merged.exec.max_batch =
-        std::max(merged.exec.max_batch, report.exec.max_batch);
   }
 
   std::vector<std::pair<std::size_t, std::size_t>> order;  // (shard, pos)

@@ -31,11 +31,6 @@
 //     With controllers active, per-frame λs (and thus selections) may
 //     legitimately differ across shard counts; determinism across *worker*
 //     counts holds for every fixed shard count.
-//   * batching observability (batch_size, batches, mean_batch) — phase-B
-//     groups form within a shard's window, so group sizes depend on the
-//     shard topology (they grow with shard count: a shard's window spans
-//     fewer lanes). They are reported, and deterministic per topology, but
-//     shard-count dependent by nature.
 //   * scheduler counters (PipelineReport::scheduler) — steals, parks and
 //     wait times are timing-dependent by definition, exactly like
 //     wall_seconds. The merge reports the shared pool's totals plus the

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "detect/anchors.hpp"
 #include "detect/nms.hpp"
@@ -208,6 +210,54 @@ TEST(NmsTest, VectorSweepHandlesDisjointKeepersWithoutFalsePositives) {
   auto kept = dets;
   nms_in_place(kept, 0.5f, /*class_aware=*/false);
   EXPECT_EQ(kept.size(), dets.size());
+}
+
+// NMS reorders whole detections: every survivor keeps its own class_scores
+// payload, in (score desc, index asc) order, in both suppression modes.
+// Scores tie in two tiers, so the index tie-break decides most of the
+// order; each payload (the detection's index, repeated 1–5 times) says
+// where it came from. Four box positions (neighbours overlap with IoU 1/7)
+// and three classes: detections 4 apart share a box, 12 apart also a class.
+TEST(NmsTest, SurvivorsKeepTheirOwnClassScores) {
+  std::vector<Detection> dets;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const float x = static_cast<float>(i % 4) * 3.0f;
+    Detection d = make_det({x, 0.0f, x + 4.0f, 4.0f}, i % 2 == 0 ? 0.75f : 0.5f,
+                           static_cast<ObjectClass>(i % 3));
+    d.class_scores.assign(i % 5 + 1, static_cast<float>(i));
+    dets.push_back(std::move(d));
+  }
+  for (const bool class_aware : {false, true}) {
+    SCOPED_TRACE(class_aware ? "class-aware" : "class-agnostic");
+    // Replay: stable sort by score, then the greedy scalar loop.
+    std::vector<std::size_t> order(dets.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&dets](std::size_t a, std::size_t b) {
+                       return dets[a].score > dets[b].score;
+                     });
+    std::vector<std::size_t> expected;
+    for (const std::size_t i : order) {
+      bool suppressed = false;
+      for (const std::size_t k : expected) {
+        if (class_aware && dets[k].cls != dets[i].cls) continue;
+        suppressed = suppressed || iou(dets[k].box, dets[i].box) > 0.5f;
+      }
+      if (!suppressed) expected.push_back(i);
+    }
+    ASSERT_EQ(expected.size(), class_aware ? 12u : 4u);
+
+    std::vector<Detection> actual = dets;
+    nms_in_place(actual, 0.5f, class_aware);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      const Detection& want = dets[expected[k]];
+      EXPECT_EQ(actual[k].score, want.score);
+      EXPECT_EQ(actual[k].cls, want.cls);
+      EXPECT_EQ(actual[k].box.x1, want.box.x1);
+      EXPECT_EQ(actual[k].class_scores, want.class_scores) << "survivor " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the shared-execution layer: FrameWorkspace memoization,
-// TemporalStemCache bitwise-exact reuse/delta refresh, batched branch
-// execution, and the row-restricted conv entry point they build on.
+// channel-scan sharing, TemporalStemCache bitwise-exact reuse/delta
+// refresh, and the row-restricted conv entry point they build on.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,7 +11,6 @@
 
 #include "core/engine.hpp"
 #include "dataset/sequence.hpp"
-#include "exec/batcher.hpp"
 #include "exec/stem_cache.hpp"
 #include "exec/workspace.hpp"
 #include "gating/knowledge_gate.hpp"
@@ -281,96 +280,6 @@ TEST(TemporalStemCacheTest, EvictionFallsBackToExactRecompute) {
   const tensor::Tensor fresh = engine().stems().gate_features(seq.frames[1]);
   for (std::size_t i = 0; i < recomputed.numel(); ++i) {
     ASSERT_EQ(recomputed[i], fresh[i]);
-  }
-}
-
-// Batched execution seeds each frame's scan cache with every channel scan
-// the configuration needs; materializing the branches afterwards runs no
-// further scans and yields detections identical to per-frame runs.
-TEST(BranchBatcherTest, BatchedScansMatchPerFrameRuns) {
-  const auto seq = test_sequence(dataset::SceneType::kJunction, 4);
-  const std::size_t config_index = engine().baselines().late;
-
-  std::vector<std::unique_ptr<FrameWorkspace>> workspaces;
-  std::vector<FrameWorkspace*> group;
-  for (const dataset::Frame& frame : seq.frames) {
-    workspaces.push_back(std::make_unique<FrameWorkspace>(engine(), frame));
-    group.push_back(workspaces.back().get());
-  }
-  const BranchBatcher batcher(engine());
-  batcher.execute(config_index, group);
-
-  const auto& config = engine().config_space()[config_index];
-  for (std::size_t f = 0; f < seq.frames.size(); ++f) {
-    const std::size_t scans_after_batch =
-        workspaces[f]->channel_scans_unique();
-    EXPECT_GT(scans_after_batch, 0u);
-    for (core::BranchId branch : config.branches) {
-      expect_same_detections(workspaces[f]->branch_detections(branch),
-                             engine().run_branch(branch, seq.frames[f]));
-    }
-    // The merges consumed only deposited scans.
-    EXPECT_EQ(workspaces[f]->channel_scans_unique(), scans_after_batch);
-  }
-}
-
-// The batcher honours the unshared mode: every (branch, channel) pair pays
-// for its own scan, so the on/off invariance check stays honest even on the
-// batched path — while detections remain identical.
-TEST(BranchBatcherTest, UnsharedBatchedScansMatchSharedOnes) {
-  const auto seq = test_sequence(dataset::SceneType::kSnow, 3);
-  // The 7-channel/4-unique ensemble configuration exercises the dedup.
-  std::size_t config_index = engine().config_space().size();
-  for (const core::ModelConfig& c : engine().config_space()) {
-    if (c.name == "E(CL+CR+L)+CL+CR+L+R") config_index = c.index;
-  }
-  ASSERT_LT(config_index, engine().config_space().size());
-
-  auto run_group = [&](bool share) {
-    std::vector<std::unique_ptr<FrameWorkspace>> workspaces;
-    std::vector<FrameWorkspace*> group;
-    for (const dataset::Frame& frame : seq.frames) {
-      workspaces.push_back(
-          std::make_unique<FrameWorkspace>(engine(), frame, share));
-      group.push_back(workspaces.back().get());
-    }
-    const BranchBatcher batcher(engine());
-    batcher.execute(config_index, group);
-    return workspaces;
-  };
-  auto shared = run_group(true);
-  auto unshared = run_group(false);
-
-  const auto& config = engine().config_space()[config_index];
-  for (std::size_t f = 0; f < seq.frames.size(); ++f) {
-    for (core::BranchId branch : config.branches) {
-      expect_same_detections(shared[f]->branch_detections(branch),
-                             unshared[f]->branch_detections(branch));
-    }
-    EXPECT_EQ(shared[f]->channel_scans_requested(), 7u);
-    EXPECT_EQ(shared[f]->channel_scans_unique(), 4u);
-    EXPECT_EQ(unshared[f]->channel_scans_requested(), 7u);
-    EXPECT_EQ(unshared[f]->channel_scans_unique(), 7u);
-  }
-}
-
-TEST(BranchBatcherTest, DetectBatchMatchesDetect) {
-  const auto seq = test_sequence(dataset::SceneType::kFog, 3);
-  // An early-fusion branch (multi-channel) and a single-sensor branch.
-  for (core::BranchId branch : {core::BranchId::kEarlyCamerasLidar,
-                                core::BranchId::kRadar}) {
-    const auto& detector = engine().branch_detector(branch);
-    std::vector<std::vector<tensor::Tensor>> grids;
-    std::vector<const std::vector<tensor::Tensor>*> batch;
-    for (const dataset::Frame& frame : seq.frames) {
-      grids.push_back(engine().branch_grids(branch, frame));
-    }
-    for (const auto& g : grids) batch.push_back(&g);
-    const auto batched = detector.detect_batch(batch);
-    ASSERT_EQ(batched.size(), seq.frames.size());
-    for (std::size_t f = 0; f < seq.frames.size(); ++f) {
-      expect_same_detections(batched[f], detector.detect(grids[f]));
-    }
   }
 }
 

@@ -79,8 +79,6 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b) {
   EXPECT_EQ(a.exec.stems_skipped, b.exec.stems_skipped);
   EXPECT_EQ(a.exec.stem_cache_hits, b.exec.stem_cache_hits);
   EXPECT_EQ(a.exec.stem_cache_misses, b.exec.stem_cache_misses);
-  EXPECT_EQ(a.exec.batches, b.exec.batches);
-  EXPECT_EQ(a.exec.mean_batch, b.exec.mean_batch);
   ASSERT_EQ(a.frame_stats.size(), b.frame_stats.size());
   for (std::size_t i = 0; i < a.frame_stats.size(); ++i) {
     const FrameStats& x = a.frame_stats[i];
@@ -91,7 +89,6 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b) {
     EXPECT_EQ(x.energy_j, y.energy_j);      // bitwise
     EXPECT_EQ(x.latency_ms, y.latency_ms);  // bitwise
     EXPECT_EQ(x.detections, y.detections);
-    EXPECT_EQ(x.batch_size, y.batch_size);
   }
 }
 
@@ -301,8 +298,6 @@ TEST(RunMetrics, ModeledHistogramInvariantToWorkerCount) {
   ASSERT_NE(m1.find_histogram("modeled/latency_ms"), nullptr);
   EXPECT_TRUE(*m1.find_histogram("modeled/latency_ms") ==
               *m4.find_histogram("modeled/latency_ms"));
-  EXPECT_TRUE(*m1.find_histogram("modeled/batch_size") ==
-              *m4.find_histogram("modeled/batch_size"));
   EXPECT_EQ(m1.counter("frames"), m4.counter("frames"));
   EXPECT_EQ(m1.counter("detections"), m4.counter("detections"));
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -467,13 +468,12 @@ TEST(StreamingPipelineTest, BudgetAndDeadlineControllersCompose) {
 }
 
 PipelineReport run_pipeline_exec(std::size_t workers, const GateFactory& gates,
-                                 bool cache, bool batch) {
+                                 bool cache) {
   PipelineConfig config;
   config.workers = workers;
   config.window = 16;
   config.joint.gamma = 2.0f;
   config.temporal_stem_cache = cache;
-  config.batch_branches = batch;
   StreamingPipeline pipeline(engine(), config);
   FrameStream stream(small_stream());
   return pipeline.run(stream, gates);
@@ -514,7 +514,6 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
     EXPECT_EQ(x.lambda_energy, y.lambda_energy);
     EXPECT_EQ(x.lambda_latency, y.lambda_latency);
     EXPECT_EQ(x.detections, y.detections);
-    EXPECT_EQ(x.batch_size, y.batch_size);
     EXPECT_EQ(x.branch_runs, y.branch_runs);
     EXPECT_EQ(x.channel_scans_requested, y.channel_scans_requested);
     EXPECT_EQ(x.channel_scans_unique, y.channel_scans_unique);
@@ -529,7 +528,6 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
     EXPECT_EQ(a.per_scene[s].mean_loss, b.per_scene[s].mean_loss);
     EXPECT_EQ(a.per_scene[s].mean_energy_j, b.per_scene[s].mean_energy_j);
     EXPECT_EQ(a.per_scene[s].map, b.per_scene[s].map);
-    EXPECT_EQ(a.per_scene[s].mean_batch, b.per_scene[s].mean_batch);
     if (compare_stem_source) {
       EXPECT_EQ(a.per_scene[s].stem_cache_hits, b.per_scene[s].stem_cache_hits);
       EXPECT_EQ(a.per_scene[s].stem_cache_misses,
@@ -539,10 +537,6 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
   EXPECT_EQ(a.exec.branch_runs, b.exec.branch_runs);
   EXPECT_EQ(a.exec.channel_scans_requested, b.exec.channel_scans_requested);
   EXPECT_EQ(a.exec.channel_scans_unique, b.exec.channel_scans_unique);
-  EXPECT_EQ(a.exec.batches, b.exec.batches);
-  EXPECT_EQ(a.exec.batched_frames, b.exec.batched_frames);
-  EXPECT_EQ(a.exec.max_batch, b.exec.max_batch);
-  EXPECT_EQ(a.exec.mean_batch, b.exec.mean_batch);
   if (compare_stem_source) {
     EXPECT_EQ(a.exec.stems_skipped, b.exec.stems_skipped);
     EXPECT_EQ(a.exec.stems_computed, b.exec.stems_computed);
@@ -556,9 +550,9 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
 // is genuinely on the path here).
 TEST(StreamingPipelineTest, StemCacheOnOffReportsBitwiseIdentical) {
   const PipelineReport off =
-      run_pipeline_exec(2, deep_factory(), /*cache=*/false, /*batch=*/true);
+      run_pipeline_exec(2, deep_factory(), /*cache=*/false);
   const PipelineReport on =
-      run_pipeline_exec(2, deep_factory(), /*cache=*/true, /*batch=*/true);
+      run_pipeline_exec(2, deep_factory(), /*cache=*/true);
   expect_reports_equal(off, on, /*compare_stem_source=*/false);
   // And the cache really engaged: one miss per sequence, hits elsewhere.
   EXPECT_EQ(on.exec.stem_cache_misses, dataset::kNumSceneTypes);
@@ -566,26 +560,13 @@ TEST(StreamingPipelineTest, StemCacheOnOffReportsBitwiseIdentical) {
   EXPECT_EQ(off.exec.stems_computed, off.frames);
 }
 
-// So is batched branch execution.
-TEST(StreamingPipelineTest, BatchOnOffReportsBitwiseIdentical) {
-  const PipelineReport off =
-      run_pipeline_exec(2, knowledge_factory(), /*cache=*/true,
-                        /*batch=*/false);
-  const PipelineReport on =
-      run_pipeline_exec(2, knowledge_factory(), /*cache=*/true,
-                        /*batch=*/true);
-  expect_reports_equal(off, on, /*compare_stem_source=*/true);
-  EXPECT_GT(on.exec.batched_frames, 0u);
-  EXPECT_GT(on.exec.max_batch, 1u);
-}
-
-// 1-vs-N worker determinism with caching AND batching enabled, including
-// every exec counter.
-TEST(StreamingPipelineTest, DeterministicAcrossWorkersWithCacheAndBatch) {
+// 1-vs-N worker determinism with the stem cache enabled, including every
+// exec counter.
+TEST(StreamingPipelineTest, DeterministicAcrossWorkersWithStemCache) {
   const PipelineReport one =
-      run_pipeline_exec(1, deep_factory(), /*cache=*/true, /*batch=*/true);
+      run_pipeline_exec(1, deep_factory(), /*cache=*/true);
   const PipelineReport four =
-      run_pipeline_exec(4, deep_factory(), /*cache=*/true, /*batch=*/true);
+      run_pipeline_exec(4, deep_factory(), /*cache=*/true);
   expect_reports_equal(one, four, /*compare_stem_source=*/true);
 }
 
@@ -609,35 +590,61 @@ TEST(StreamingPipelineTest, TinyStemCacheStaysDeterministic) {
   EXPECT_GT(one.exec.stem_cache_hits, 0u);
 }
 
+// Window shapes other than 16 frames over 8 lanes: single-frame windows,
+// windows that split lanes unevenly, one window larger than the 64-frame
+// stream, and an empty stream. Each runs with no controller (two windows
+// in flight) and under a BudgetController (depth 1), at 1 and 4 workers:
+// the run ends, covers every frame, and reports the same bits.
+TEST(StreamingPipelineTest, OtherWindowShapesStayDeterministic) {
+  struct Shape {
+    std::size_t window;
+    std::size_t sequences_per_scene;
+  };
+  for (const Shape shape :
+       {Shape{1, 1}, Shape{3, 1}, Shape{100, 1}, Shape{16, 0}}) {
+    StreamConfig stream_config = small_stream();
+    stream_config.sequences_per_scene = shape.sequences_per_scene;
+    const std::size_t frames = dataset::kNumSceneTypes *
+                               shape.sequences_per_scene *
+                               stream_config.sequence.length;
+    for (const bool budget : {false, true}) {
+      SCOPED_TRACE("window " + std::to_string(shape.window) + ", " +
+                   std::to_string(frames) + " frames, budget " +
+                   std::to_string(budget));
+      auto run = [&](std::size_t workers) {
+        PipelineConfig config;
+        config.workers = workers;
+        config.window = shape.window;
+        config.joint.gamma = 2.0f;
+        if (budget) config.budget = BudgetConfig{};
+        StreamingPipeline pipeline(engine(), config);
+        FrameStream stream(stream_config);
+        return pipeline.run(stream, deep_factory());
+      };
+      const PipelineReport one = run(1);
+      const PipelineReport four = run(4);
+      EXPECT_EQ(one.frames, frames);
+      EXPECT_EQ(one.lambda_trace.size(),
+                (frames + shape.window - 1) / shape.window);
+      expect_reports_equal(one, four, /*compare_stem_source=*/true);
+    }
+  }
+}
+
 TEST(StreamingPipelineTest, ExecCountersAreConsistent) {
   const PipelineReport report =
-      run_pipeline_exec(2, knowledge_factory(), /*cache=*/true,
-                        /*batch=*/true);
+      run_pipeline_exec(2, knowledge_factory(), /*cache=*/true);
   ASSERT_GT(report.frames, 0u);
   // The knowledge gate never pulls F: stems skipped on every frame.
   EXPECT_EQ(report.exec.stems_skipped, report.frames);
   EXPECT_EQ(report.exec.stem_cache_hits, 0u);
   EXPECT_EQ(report.exec.stem_cache_misses, 0u);
   EXPECT_GT(report.exec.branch_runs, 0u);
-  ASSERT_GT(report.exec.batches, 0u);
-  EXPECT_DOUBLE_EQ(report.exec.mean_batch,
-                   static_cast<double>(report.frames) /
-                       static_cast<double>(report.exec.batches));
-  std::size_t batched = 0;
-  double batch_sum = 0.0;
+  // Every frame finishes alone.
+  EXPECT_EQ(report.exec.mean_batch, 1.0);
   for (const FrameStats& stats : report.frame_stats) {
-    EXPECT_GE(stats.batch_size, 1u);
     EXPECT_GT(stats.branch_runs, 0u);
-    if (stats.batch_size > 1) ++batched;
-    batch_sum += static_cast<double>(stats.batch_size);
   }
-  EXPECT_EQ(report.exec.batched_frames, batched);
-  // Per-scene mean batch sizes aggregate the same per-frame data.
-  double scene_batch_sum = 0.0;
-  for (const SceneReport& scene : report.per_scene) {
-    scene_batch_sum += scene.mean_batch * static_cast<double>(scene.frames);
-  }
-  EXPECT_NEAR(scene_batch_sum, batch_sum, 1e-9);
 }
 
 }  // namespace

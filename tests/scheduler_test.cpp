@@ -111,15 +111,11 @@ void expect_reports_identical(const PipelineReport& a,
     EXPECT_EQ(x.lambda_latency, y.lambda_latency);
     EXPECT_EQ(x.detections, y.detections);
     EXPECT_EQ(x.stem_source, y.stem_source);
-    EXPECT_EQ(x.batch_size, y.batch_size);
     EXPECT_EQ(x.branch_runs, y.branch_runs);
     EXPECT_EQ(x.channel_scans_requested, y.channel_scans_requested);
     EXPECT_EQ(x.channel_scans_unique, y.channel_scans_unique);
     EXPECT_EQ(x.arena_bytes_high_water, y.arena_bytes_high_water);
   }
-  EXPECT_EQ(a.exec.batches, b.exec.batches);
-  EXPECT_EQ(a.exec.max_batch, b.exec.max_batch);
-  EXPECT_EQ(a.exec.batched_frames, b.exec.batched_frames);
   EXPECT_EQ(a.exec.branch_runs, b.exec.branch_runs);
   EXPECT_EQ(a.exec.channel_scans_requested, b.exec.channel_scans_requested);
   EXPECT_EQ(a.exec.channel_scans_unique, b.exec.channel_scans_unique);

@@ -73,15 +73,13 @@ ShardedReport run_sharded(std::size_t shards, std::size_t workers,
 }
 
 /// Bitwise equality of the merged-report fields the sharded determinism
-/// contract covers. `compare_batching` is off when comparing *different
-/// shard counts*: phase-B groups form within a shard's window, so group
-/// sizes legitimately depend on the shard topology. `compare_lambdas` is
-/// off when closed-loop controllers run (per-shard trajectories).
+/// contract covers. `compare_lambdas` is off when closed-loop controllers
+/// run (per-shard trajectories).
 /// `compare_scan_unique` is off when comparing channel-sharing on vs off
 /// runs: the unique-scan count is the one field the toggle legitimately
 /// moves (requested counts must still match bitwise).
 void expect_merged_equal(const PipelineReport& a, const PipelineReport& b,
-                         bool compare_batching, bool compare_lambdas = true,
+                         bool compare_lambdas = true,
                          bool compare_scan_unique = true) {
   ASSERT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);
@@ -111,9 +109,6 @@ void expect_merged_equal(const PipelineReport& a, const PipelineReport& b,
       EXPECT_EQ(x.lambda_energy, y.lambda_energy);
       EXPECT_EQ(x.lambda_latency, y.lambda_latency);
     }
-    if (compare_batching) {
-      EXPECT_EQ(x.batch_size, y.batch_size);
-    }
   }
   ASSERT_EQ(a.per_scene.size(), b.per_scene.size());
   for (std::size_t s = 0; s < a.per_scene.size(); ++s) {
@@ -126,9 +121,6 @@ void expect_merged_equal(const PipelineReport& a, const PipelineReport& b,
     EXPECT_EQ(a.per_scene[s].stem_cache_hits, b.per_scene[s].stem_cache_hits);
     EXPECT_EQ(a.per_scene[s].stem_cache_misses,
               b.per_scene[s].stem_cache_misses);
-    if (compare_batching) {
-      EXPECT_EQ(a.per_scene[s].mean_batch, b.per_scene[s].mean_batch);
-    }
   }
   EXPECT_EQ(a.exec.stems_skipped, b.exec.stems_skipped);
   EXPECT_EQ(a.exec.stems_computed, b.exec.stems_computed);
@@ -138,12 +130,6 @@ void expect_merged_equal(const PipelineReport& a, const PipelineReport& b,
   EXPECT_EQ(a.exec.channel_scans_requested, b.exec.channel_scans_requested);
   if (compare_scan_unique) {
     EXPECT_EQ(a.exec.channel_scans_unique, b.exec.channel_scans_unique);
-  }
-  if (compare_batching) {
-    EXPECT_EQ(a.exec.batches, b.exec.batches);
-    EXPECT_EQ(a.exec.batched_frames, b.exec.batched_frames);
-    EXPECT_EQ(a.exec.max_batch, b.exec.max_batch);
-    EXPECT_EQ(a.exec.mean_batch, b.exec.mean_batch);
   }
 }
 
@@ -265,11 +251,7 @@ TEST(ShardedPipelineTest, MergedReportBitwiseInvariantAcrossShardsAndWorkers) {
     EXPECT_EQ(reference.frame_stats[i].stream_index, i);
   }
   for (std::size_t r = 1; r < reports.size(); ++r) {
-    // Same shard count (pairs) compare batching too; across shard counts
-    // batching is topology observability and excluded.
-    const bool same_shards = (r / 2) == 0;
-    expect_merged_equal(reference, reports[r].merged,
-                        /*compare_batching=*/same_shards);
+    expect_merged_equal(reference, reports[r].merged);
   }
   // An explicitly constructed backend overrides ECO_BACKEND, so whichever
   // backend the environment selected for `reference`, one of these runs
@@ -281,8 +263,7 @@ TEST(ShardedPipelineTest, MergedReportBitwiseInvariantAcrossShardsAndWorkers) {
                         run_sharded(1, 4, deep_factory(), small_stream(),
                                     std::nullopt, std::nullopt,
                                     /*share_channel_scans=*/true, backend)
-                            .merged,
-                        /*compare_batching=*/true);
+                            .merged);
   }
   // Inline generation on the consumer thread renders the identical stream.
   StreamConfig inline_stream = small_stream();
@@ -290,8 +271,7 @@ TEST(ShardedPipelineTest, MergedReportBitwiseInvariantAcrossShardsAndWorkers) {
   for (std::size_t shards : {1u, 2u}) {
     SCOPED_TRACE(shards);
     expect_merged_equal(
-        reference, run_sharded(shards, 4, deep_factory(), inline_stream).merged,
-        /*compare_batching=*/shards == 1);
+        reference, run_sharded(shards, 4, deep_factory(), inline_stream).merged);
   }
   // Stem-cache behaviour is invariant under shard routing: sequences are
   // routed whole, so each sequence costs exactly one miss, and the summed
@@ -328,15 +308,12 @@ TEST(ShardedPipelineTest, ChannelShareOnOffBitwiseInvariantAcrossTopologies) {
   EXPECT_LT(reference.exec.channel_scans_unique,
             reference.exec.channel_scans_requested);
   for (std::size_t r = 0; r < shared_runs.size(); ++r) {
-    const bool same_shards = r < 2;  // runs 0,1 are 1-shard like reference
     // Same toggle: full equality including the unique counters.
     expect_merged_equal(reference, shared_runs[r].merged,
-                        /*compare_batching=*/same_shards,
                         /*compare_lambdas=*/true,
                         /*compare_scan_unique=*/true);
     // Across the toggle: everything but the unique counters.
     expect_merged_equal(reference, unshared_runs[r].merged,
-                        /*compare_batching=*/same_shards,
                         /*compare_lambdas=*/true,
                         /*compare_scan_unique=*/false);
     EXPECT_EQ(unshared_runs[r].merged.exec.channel_scans_unique,
@@ -345,8 +322,7 @@ TEST(ShardedPipelineTest, ChannelShareOnOffBitwiseInvariantAcrossTopologies) {
 }
 
 // A 1-shard ShardedPipeline is the StreamingPipeline: the merged report
-// reproduces a plain pipeline run over the same engine config bitwise,
-// including batching observability.
+// reproduces a plain pipeline run over the same engine config bitwise.
 TEST(ShardedPipelineTest, SingleShardMatchesPlainPipeline) {
   const ShardedReport sharded = run_sharded(1, 2, knowledge_factory());
 
@@ -363,7 +339,7 @@ TEST(ShardedPipelineTest, SingleShardMatchesPlainPipeline) {
         owner.engine(0).default_knowledge_table(),
         owner.engine(0).config_space().size());
   });
-  expect_merged_equal(sharded.merged, direct, /*compare_batching=*/true);
+  expect_merged_equal(sharded.merged, direct);
   ASSERT_EQ(sharded.shards.size(), 1u);
   EXPECT_EQ(sharded.shards[0].frames, direct.frames);
   ASSERT_EQ(sharded.shards[0].lambda_trace.size(), direct.lambda_trace.size());
@@ -395,7 +371,7 @@ TEST(ShardedPipelineTest, ControllersStayDeterministicAcrossWorkerCounts) {
                                         budget, deadline);
   const ShardedReport four = run_sharded(2, 4, oracle_factory(), stream_config,
                                          budget, deadline);
-  expect_merged_equal(one.merged, four.merged, /*compare_batching=*/true);
+  expect_merged_equal(one.merged, four.merged);
   ASSERT_EQ(one.shards.size(), four.shards.size());
   for (std::size_t s = 0; s < one.shards.size(); ++s) {
     ASSERT_EQ(one.shards[s].lambda_trace.size(),
