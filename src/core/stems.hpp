@@ -65,7 +65,9 @@ class StemBank {
   /// Recomputes pooled feature rows [row_begin, row_end) of `kind`'s stem
   /// for `grid` into `pooled` (shape (out_channels(), H/2, W/2)); other
   /// rows are untouched. The refreshed rows are bitwise identical to what
-  /// features() would produce for them.
+  /// features() would produce for them. Benchmark-only: its one caller is
+  /// exec::TemporalStemCache, which only perfbench's frame_latency drives;
+  /// a [benchmark] change retires both.
   void refresh_feature_rows(dataset::SensorKind kind,
                             const tensor::Tensor& grid,
                             std::size_t row_begin, std::size_t row_end,

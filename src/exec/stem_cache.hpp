@@ -11,10 +11,12 @@
 // features. Because the refresh path computes a pooled row exactly as a
 // full stem pass does (see tensor::conv3x3_relu_pool_rows), a
 // delta-refreshed F is bitwise equal to StemBank::gate_features(frame) —
-// caching is invisible in results, which is what lets the streaming
-// pipeline keep its determinism contract with the cache on or off. When a
-// sequence is unknown (first frame, or evicted) the cache falls back to an
-// exact full recompute.
+// caching is invisible in results. When a sequence is unknown (first frame,
+// or evicted) the cache falls back to an exact full recompute.
+//
+// Benchmark-only: the streaming runtime computes F directly on every frame,
+// and the cache's one caller is perfbench's frame_latency diagnostic
+// (perfbench/driver/workloads.cpp). A [benchmark] change retires it.
 //
 // What it saves in practice: on a stream with the configuration of the
 // benchmark's attention_budget_stream (seed 1, 2,048 frames) — the only

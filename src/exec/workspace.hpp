@@ -18,7 +18,8 @@
 // see exec/channel_scan_cache.hpp; `share_channel_scans` pins the toggle).
 //
 // A workspace is single-threaded state: one workspace per (frame, task).
-// Attach a TemporalStemCache to resolve F through the cross-frame cache.
+// The constructor that attaches a TemporalStemCache serves only perfbench's
+// frame_latency diagnostic; the runtime computes F directly.
 #pragma once
 
 #include <array>
@@ -46,6 +47,8 @@ class TemporalStemCache;
 enum class StemSource : std::uint8_t {
   kSkipped = 0,  // no gate ever read F; the stems never ran
   kComputed,     // computed directly (no temporal cache attached)
+  // Benchmark-only (perfbench's frame_latency drives the cache; the
+  // runtime never attaches one); a [benchmark] change retires both.
   kCacheMiss,    // temporal cache consulted: full compute + store
   kCacheHit,     // temporal cache reused/delta-refreshed a prior frame
 };
@@ -67,6 +70,8 @@ class FrameWorkspace final : public gating::FeatureSource {
 
   /// Attaches temporal stem caching: F resolves through `cache` under
   /// `sequence_id` (frames of one sequence share cache state).
+  /// Benchmark-only: perfbench/driver/workloads.cpp (frame_latency) is its
+  /// one caller, and a [benchmark] change retires it with the cache.
   FrameWorkspace(const core::EcoFusionEngine& engine,
                  const dataset::Frame& frame, TemporalStemCache* cache,
                  std::uint64_t sequence_id, bool share_channel_scans = true,
@@ -108,31 +113,6 @@ class FrameWorkspace final : public gating::FeatureSource {
   [[nodiscard]] StemSource stem_source() const noexcept {
     return stem_source_;
   }
-  /// Tensor-buffer heap allocations attributed to this frame's work (the
-  /// pipeline samples tensor::tensor_alloc_count deltas around each
-  /// single-threaded stretch of the frame's execution and deposits them
-  /// here). A steady-state frame on a warmed arena reports zero.
-  [[nodiscard]] std::size_t tensor_allocs() const noexcept {
-    return tensor_allocs_;
-  }
-  void note_tensor_allocs(std::size_t count) noexcept {
-    tensor_allocs_ += count;
-  }
-  /// Scan-plan cache lookups attributed to this frame (sampled from the
-  /// thread-local tensor::plan_cache_{hit,miss}_count deltas, like
-  /// note_tensor_allocs). Hits/misses split by scheduling (whichever shard
-  /// first needs a plan builds it), so these feed throughput reporting only
-  /// — never the bitwise-compared report fields.
-  [[nodiscard]] std::size_t plan_cache_hits() const noexcept {
-    return plan_cache_hits_;
-  }
-  [[nodiscard]] std::size_t plan_cache_misses() const noexcept {
-    return plan_cache_misses_;
-  }
-  void note_plan_cache(std::size_t hits, std::size_t misses) noexcept {
-    plan_cache_hits_ += hits;
-    plan_cache_misses_ += misses;
-  }
   /// Bytes of reusable buffer capacity the frame's arena retains.
   [[nodiscard]] std::size_t arena_bytes_high_water() const noexcept {
     return arena_->bytes_high_water();
@@ -158,9 +138,6 @@ class FrameWorkspace final : public gating::FeatureSource {
       branches_;
   std::optional<std::vector<float>> config_losses_;
   std::size_t branch_executions_ = 0;
-  std::size_t tensor_allocs_ = 0;
-  std::size_t plan_cache_hits_ = 0;
-  std::size_t plan_cache_misses_ = 0;
 };
 
 }  // namespace eco::exec

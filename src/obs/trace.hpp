@@ -3,8 +3,8 @@
 // The runtime's closed loops act on *measured* signals, but until this layer
 // the only visibility into a run was end-of-run aggregates — nobody could
 // see where a frame's 0.6 ms went or why a shard stalled. The tracer records
-// begin/end spans for every pipeline stage (stream pull, phase-A select,
-// stem compute/cache-hit, channel scan, NMS/merge, per-frame finish,
+// begin/end spans for every pipeline stage (stream pull, per-frame select,
+// stem compute, channel scan, NMS/merge, per-frame finish,
 // control-window update, shard merge) into *per-thread ring buffers* and
 // exports them as Chrome trace_event JSON, viewable in Perfetto
 // (ui.perfetto.dev) with one process lane per engine shard and one thread
@@ -48,12 +48,14 @@ namespace eco::obs {
 /// stage (stage_info); sites pass args positionally against that schema.
 enum class Stage : std::uint8_t {
   kStreamPull = 0,   // window fill from the frame stream
-  kSelect,           // phase A: Algorithm 1 steps 1-4 for one frame
+  kSelect,           // a frame's workspace + Algorithm 1 steps 1-4
   kStemCompute,      // stem features computed (no cache / cache miss)
+  // Benchmark-only: only a workspace with perfbench's TemporalStemCache
+  // emits it; a [benchmark] change retires it with the cache.
   kStemCacheHit,     // stem features resolved from the temporal cache
   kChannelScan,      // one unique channel scan of one frame
   kNmsMerge,         // per-configuration fusion + NMS + scoring
-  kFinishFrame,      // phase B: one frame's execute/fuse/loss/accounting
+  kFinishFrame,      // a frame's run_selected (scan/fuse/loss) + accounting
   kWindowUpdate,     // control-window reduction + λ updates
   kShardMerge,       // sharded-report merge + finalize
   kSchedulerIdle,    // a pool worker waiting for work (starvation gap)

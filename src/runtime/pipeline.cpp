@@ -4,12 +4,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "exec/stem_cache.hpp"
 #include "obs/trace.hpp"
 #include "tensor/plan_cache.hpp"
 
@@ -23,49 +23,38 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// One window slot: everything a single frame's tasks write. Cache-line
-// aligned so phase-A writers on adjacent slots (different lanes, hence
-// possibly different workers) never share a line — the per-slot stats and
-// counters accumulate worker-locally and are folded once, by the driver,
-// at the window commit.
+// One window slot: everything a single frame's task writes. Cache-line
+// aligned so frame tasks on adjacent slots (possibly different workers)
+// never share a line — the per-slot stats accumulate worker-locally and
+// are folded once, by the driver, at the window commit.
 struct alignas(kCacheLine) Slot {
-  std::unique_ptr<exec::FrameWorkspace> workspace;
   exec::FrameArena arena;
-  std::size_t selection = 0;
   FrameStats stats;
   eval::FrameResult result;
 };
 
 // Per-window in-flight state. The pipeline keeps two of these (window
-// index parity) so window W+1's phase A can run over its own slot set
-// while window W's phase B is still executing. The ping-pong exists even
+// index parity) so window W+1's frame tasks can run over their own slot
+// set while window W's are still executing. The ping-pong exists even
 // when pipelining is off (or impossible): slot->frame assignment — and
 // with it the arena warm-up attribution in the per-frame alloc counters —
 // must be a pure function of stream order, invariant across every
 // worker/steal/pipelining setting.
 struct WindowState {
   std::vector<StreamFrame> frames;
-  /// Slots grouped by sequence (local indices, stream order within each).
-  std::vector<std::vector<std::size_t>> lanes;
   core::JointOptParams params;
   std::size_t base = 0;  // offset of this state's slot set
-
-  // Dependency tracking. lanes_remaining elects the last-finishing phase-A
-  // lane, which releases select_done and submits phase B; every
-  // finished frame counts window_done down. The driver blocks only here —
-  // there is no pool-wide barrier anywhere in the window path.
-  std::atomic<std::size_t> lanes_remaining{0};
-  CompletionLatch select_done;
+  // Every frame task counts this down once, whether it finished or
+  // failed. The driver blocks only here — there is no pool-wide barrier
+  // anywhere in the window path.
   CompletionLatch window_done;
 };
 
-// Everything the window tasks share, hung off the driver's stack frame.
-// Tasks capture {&ctx, &window, small indices} only, so every capture fits
+// Everything the frame tasks share, hung off the driver's stack frame.
+// Tasks capture {&ctx, &window, a slot index} only, so every capture fits
 // SmallTask's inline storage — steady-state submission is allocation-free.
 struct RunContext {
   const core::EcoFusionEngine* engine;
-  ThreadPool* pool;
-  exec::TemporalStemCache* stem_cache;  // nullptr when disabled
   std::vector<std::unique_ptr<gating::Gate>>* gates;
   Slot* slots;
   energy::GateComplexity complexity;
@@ -73,32 +62,46 @@ struct RunContext {
   std::size_t shard_lane;
   bool keep_results;
   bool share_channel_scans;
+  // The first frame task to fail flips `failed` and stores its exception
+  // before counting its window down; the driver reads `error` only after
+  // every dispatched window's window_done, which orders the store.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};
 };
 
-// Phase B for one frame: execute the selected configuration, fuse, score,
-// and record the slot's FrameStats. Counts the window's completion event
-// down once done.
-void finish_frame(RunContext& ctx, WindowState& w, std::size_t local) {
-  Slot& slot = ctx.slots[w.base + local];
-  {
+// One frame from stems to accounting: Algorithm 1 steps 1-4 against a
+// task-local workspace over the slot's arena, then the selected
+// configuration φ* (its channel scans, merge, fusion and loss) and the
+// slot's FrameStats. An exception is kept in ctx instead of escaping into
+// the pool, and window_done counts down on every path.
+void run_frame(RunContext& ctx, WindowState& w, std::size_t local,
+               std::size_t worker) {
+  try {
     obs::ShardScope scope(ctx.shard_lane, ctx.trace);
-    obs::Span span(obs::Stage::kFinishFrame);
-    span.arg(static_cast<double>(slot.selection));
-    const auto frame_start = std::chrono::steady_clock::now();
-    exec::FrameWorkspace& ws = *slot.workspace;
+    Slot& slot = ctx.slots[w.base + local];
+    const StreamFrame& sf = w.frames[local];
+    // A frame task is a single-threaded stretch, so the thread-local
+    // counter deltas are exactly this frame's tensor allocations and
+    // scan-plan lookups.
     const std::uint64_t allocs_before = tensor::tensor_alloc_count();
     const std::uint64_t plan_hits_before = tensor::plan_cache_hit_count();
     const std::uint64_t plan_misses_before = tensor::plan_cache_miss_count();
+    std::optional<exec::FrameWorkspace> ws;
+    std::size_t selection = 0;
+    {
+      obs::Span span(obs::Stage::kSelect);
+      ws.emplace(*ctx.engine, sf.frame, ctx.share_channel_scans, &slot.arena);
+      selection = ctx.engine
+                      ->select_adaptive(*ws, *(*ctx.gates)[worker], w.params)
+                      .config_index;
+      span.arg(static_cast<double>(selection));
+      span.arg(static_cast<double>(local));
+    }
+    obs::Span span(obs::Stage::kFinishFrame);
+    span.arg(static_cast<double>(selection));
+    const auto frame_start = std::chrono::steady_clock::now();
     const core::RunResult run =
-        ctx.engine->run_selected(ws, slot.selection, ctx.complexity);
-    ws.note_tensor_allocs(static_cast<std::size_t>(
-        tensor::tensor_alloc_count() - allocs_before));
-    ws.note_plan_cache(static_cast<std::size_t>(tensor::plan_cache_hit_count() -
-                                                plan_hits_before),
-                       static_cast<std::size_t>(
-                           tensor::plan_cache_miss_count() -
-                           plan_misses_before));
-    const StreamFrame& sf = w.frames[local];
+        ctx.engine->run_selected(*ws, selection, ctx.complexity);
     FrameStats stats;
     stats.stream_index = sf.index;
     stats.scene = sf.scene;
@@ -109,78 +112,31 @@ void finish_frame(RunContext& ctx, WindowState& w, std::size_t local) {
     stats.lambda_energy = w.params.lambda_energy;
     stats.lambda_latency = w.params.lambda_latency;
     stats.detections = run.detections.size();
-    stats.stem_source = ws.stem_source();
-    stats.branch_runs = ws.branch_executions();
-    stats.channel_scans_requested = ws.channel_scans_requested();
-    stats.channel_scans_unique = ws.channel_scans_unique();
-    stats.tensor_allocs = ws.tensor_allocs();
-    stats.plan_cache_hits = ws.plan_cache_hits();
-    stats.plan_cache_misses = ws.plan_cache_misses();
-    stats.arena_bytes_high_water = ws.arena_bytes_high_water();
+    stats.stem_source = ws->stem_source();
+    stats.branch_runs = ws->branch_executions();
+    stats.channel_scans_requested = ws->channel_scans_requested();
+    stats.channel_scans_unique = ws->channel_scans_unique();
+    stats.tensor_allocs = static_cast<std::size_t>(
+        tensor::tensor_alloc_count() - allocs_before);
+    stats.plan_cache_hits = static_cast<std::size_t>(
+        tensor::plan_cache_hit_count() - plan_hits_before);
+    stats.plan_cache_misses = static_cast<std::size_t>(
+        tensor::plan_cache_miss_count() - plan_misses_before);
+    stats.arena_bytes_high_water = ws->arena_bytes_high_water();
     stats.wall_ms = elapsed_ms(frame_start);
     span.arg(static_cast<double>(stats.arena_bytes_high_water));
     slot.stats = stats;
     if (ctx.keep_results) {
       slot.result = {run.detections, sf.frame.objects};
     }
+  } catch (...) {
+    if (!ctx.failed.exchange(true, std::memory_order_relaxed)) {
+      ctx.error = std::current_exception();
+    }
   }
-  // After the span closed (its ring write must precede a driver that might
-  // tear tracing state down after the commit).
+  // After the spans closed (their ring writes must precede a driver that
+  // might tear tracing state down after the commit).
   w.window_done.count_down();
-}
-
-// Phase A for one sequence lane: construct workspaces and run Algorithm 1
-// steps 1-4 for each of the lane's slots in stream order.
-void run_lane(RunContext& ctx, WindowState& w, std::size_t lane_index,
-              std::size_t worker) {
-  {
-    obs::ShardScope scope(ctx.shard_lane, ctx.trace);
-    for (std::size_t local : w.lanes[lane_index]) {
-      Slot& slot = ctx.slots[w.base + local];
-      const StreamFrame& sf = w.frames[local];
-      obs::Span span(obs::Stage::kSelect);
-      // A lane task is a single-threaded stretch, so the thread-local
-      // alloc counter delta is exactly this slot's selection-phase
-      // tensor allocations.
-      const std::uint64_t allocs_before = tensor::tensor_alloc_count();
-      const std::uint64_t plan_hits_before = tensor::plan_cache_hit_count();
-      const std::uint64_t plan_misses_before = tensor::plan_cache_miss_count();
-      slot.workspace = std::make_unique<exec::FrameWorkspace>(
-          *ctx.engine, sf.frame, ctx.stem_cache, sf.sequence_id,
-          ctx.share_channel_scans, &slot.arena);
-      slot.selection =
-          ctx.engine
-              ->select_adaptive(*slot.workspace, *(*ctx.gates)[worker],
-                                w.params)
-              .config_index;
-      slot.workspace->note_tensor_allocs(static_cast<std::size_t>(
-          tensor::tensor_alloc_count() - allocs_before));
-      slot.workspace->note_plan_cache(
-          static_cast<std::size_t>(tensor::plan_cache_hit_count() -
-                                   plan_hits_before),
-          static_cast<std::size_t>(tensor::plan_cache_miss_count() -
-                                   plan_misses_before));
-      span.arg(static_cast<double>(slot.selection));
-      span.arg(static_cast<double>(local));
-    }
-  }
-  // The last lane to finish owns the window's phase B. The acq_rel
-  // decrement makes every lane's selections visible to it.
-  if (w.lanes_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Release the driver first (it may start the next window's phase A —
-    // chained behind this event so per-sequence stem refreshes never
-    // overlap), then submit one finish task per slot, in slot order. The
-    // window may complete the moment its last finish task is handed to the
-    // pool, after which `w` (driver stack) may be reused or gone: the loop
-    // bound is a local copy, and `w` is read only before the first submit.
-    w.select_done.count_down();
-    const std::size_t frames = w.frames.size();
-    for (std::size_t local = 0; local < frames; ++local) {
-      ctx.pool->submit([c = &ctx, ww = &w, local](std::size_t) {
-        finish_frame(*c, *ww, local);
-      });
-    }
-  }
 }
 
 }  // namespace
@@ -236,7 +192,7 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
   stream.attach_pool(pool, trace);
 
   // One gate per pool worker; per-worker gates must be behaviourally
-  // identical (GateFactory contract), so which worker runs a lane — or
+  // identical (GateFactory contract), so which worker runs a frame — or
   // steals it — is unobservable in the results.
   std::vector<std::unique_ptr<gating::Gate>> gates;
   gates.reserve(pool.size());
@@ -250,19 +206,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
                                        : config_.joint.lambda_energy;
   float lambda_latency = config_.deadline ? deadline_controller.lambda()
                                           : config_.joint.lambda_latency;
-
-  std::optional<exec::TemporalStemCache> stem_cache;
-  if (config_.temporal_stem_cache) {
-    exec::StemCacheConfig cache_config;
-    // Eviction is driven deterministically by retain() before each
-    // window's phase A; the capacity is sized so the FIFO backstop can
-    // never fire between retains (at most `window` retained + `window`
-    // new entries), keeping hit/miss counters worker-count invariant for
-    // any config.
-    cache_config.max_sequences =
-        std::max(config_.stem_cache_sequences, 2 * config_.window);
-    stem_cache.emplace(engine_.stems(), cache_config);
-  }
 
   PipelineReport report;
   std::vector<eval::FrameResult> frame_results;
@@ -280,8 +223,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
   windows[1].base = config_.window;
 
   RunContext ctx{&engine_,
-                 &pool,
-                 stem_cache ? &*stem_cache : nullptr,
                  &gates,
                  slots.data(),
                  complexity,
@@ -318,10 +259,9 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
   };
 
   // Stream-order commit of one finished window: fold the slot stats into
-  // the report, retire the workspaces, trace the λs, and feed the
-  // controllers. The single-threaded, window-ordered fold here is what
-  // keeps the merged reports bitwise identical across every scheduling
-  // toggle.
+  // the report, trace the λs, and feed the controllers. The
+  // single-threaded, window-ordered fold here is what keeps the merged
+  // reports bitwise identical across every scheduling toggle.
   const auto commit = [&](WindowState& w) {
     wait_event(w.window_done);
     obs::Span window_span(obs::Stage::kWindowUpdate);
@@ -338,7 +278,6 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
       if (config_.keep_frame_results) {
         frame_results.push_back(std::move(slot.result));
       }
-      slot.workspace.reset();
     }
     report.lambda_trace.push_back(w.params.lambda_energy);
     report.deadline_trace.push_back(w.params.lambda_latency);
@@ -381,13 +320,10 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
       commit(windows[oldest % 2]);
       ++oldest;
     }
-    // Chain phase A behind the previous window's phase A: consecutive
-    // windows can share sequences, and per-sequence stem refreshes must
-    // stay sequential in stream order.
-    if (oldest < next) {
-      ++windows_pipelined;
-      wait_event(windows[(next - 1) % 2].select_done);
-    }
+    // A failed frame stops dispatch; the drain below waits out the windows
+    // still in flight before run() rethrows.
+    if (ctx.failed.load(std::memory_order_relaxed)) break;
+    if (oldest < next) ++windows_pipelined;
 
     WindowState& w = windows[next % 2];
     std::swap(w.frames, pull_buf);
@@ -400,40 +336,10 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
     params.lambda_latency = applied_latency;
     w.params = params;
 
-    // Slots grouped by sequence, one task per sequence: the temporal stem
-    // cache then sees each sequence's frames in stream order regardless of
-    // worker count, which keeps hit/miss counters deterministic.
-    w.lanes.clear();
-    {
-      std::unordered_map<std::uint64_t, std::size_t> lane_of;
-      for (std::size_t local = 0; local < w.frames.size(); ++local) {
-        auto [it, inserted] =
-            lane_of.try_emplace(w.frames[local].sequence_id, w.lanes.size());
-        if (inserted) w.lanes.emplace_back();
-        w.lanes[it->second].push_back(local);
-      }
-    }
-
-    // Deterministic cache eviction, moved ahead of the window's phase A
-    // (no selection task is in flight here — the previous window's
-    // select_done was waited above). A sequence still hits exactly when it
-    // appeared in the previous window, same as retaining at the commit,
-    // so the hit/miss counters are bitwise unchanged by the move.
-    if (stem_cache) {
-      std::vector<std::uint64_t> live;
-      live.reserve(w.lanes.size());
-      for (const std::vector<std::size_t>& lane : w.lanes) {
-        live.push_back(w.frames[lane.front()].sequence_id);
-      }
-      stem_cache->retain(live);
-    }
-
-    w.select_done.reset(1);
     w.window_done.reset(w.frames.size());
-    w.lanes_remaining.store(w.lanes.size(), std::memory_order_relaxed);
-    for (std::size_t lane = 0; lane < w.lanes.size(); ++lane) {
-      pool.submit([c = &ctx, ww = &w, lane](std::size_t worker) {
-        run_lane(*c, *ww, lane, worker);
+    for (std::size_t local = 0; local < w.frames.size(); ++local) {
+      pool.submit([c = &ctx, ww = &w, local](std::size_t worker) {
+        run_frame(*c, *ww, local, worker);
       });
     }
     ++next;
@@ -444,6 +350,7 @@ PipelineReport StreamingPipeline::run(FrameStream& stream,
     commit(windows[oldest % 2]);
     ++oldest;
   }
+  if (ctx.error) std::rethrow_exception(ctx.error);
 
   report.final_lambda = lambda_energy;
   report.final_lambda_latency = lambda_latency;
@@ -491,8 +398,6 @@ void finalize_report(PipelineReport& report) {
   report.per_scene.clear();
   report.exec.stems_skipped = 0;
   report.exec.stems_computed = 0;
-  report.exec.stem_cache_hits = 0;
-  report.exec.stem_cache_misses = 0;
   report.exec.branch_runs = 0;
   report.exec.channel_scans_requested = 0;
   report.exec.channel_scans_unique = 0;
@@ -518,13 +423,10 @@ void finalize_report(PipelineReport& report) {
     report.exec.arena_bytes_high_water = std::max(
         report.exec.arena_bytes_high_water, stats.arena_bytes_high_water);
     if (stats.tensor_allocs == 0) report.exec.zero_alloc_frames += 1;
-    switch (stats.stem_source) {
-      case exec::StemSource::kSkipped: report.exec.stems_skipped += 1; break;
-      case exec::StemSource::kComputed: report.exec.stems_computed += 1; break;
-      case exec::StemSource::kCacheHit: report.exec.stem_cache_hits += 1; break;
-      case exec::StemSource::kCacheMiss:
-        report.exec.stem_cache_misses += 1;
-        break;
+    if (stats.stem_source == exec::StemSource::kSkipped) {
+      report.exec.stems_skipped += 1;
+    } else {
+      report.exec.stems_computed += 1;
     }
     SceneReport& scene = scenes[stats.scene];
     scene.scene = stats.scene;
@@ -532,11 +434,6 @@ void finalize_report(PipelineReport& report) {
     scene.mean_loss += stats.loss;
     scene.mean_energy_j += stats.energy_j;
     scene.mean_latency_ms += stats.latency_ms;
-    if (stats.stem_source == exec::StemSource::kCacheHit) {
-      scene.stem_cache_hits += 1;
-    } else if (stats.stem_source == exec::StemSource::kCacheMiss) {
-      scene.stem_cache_misses += 1;
-    }
   }
   if (report.frames > 0) {
     const auto n = static_cast<double>(report.frames);
@@ -595,8 +492,6 @@ obs::MetricsRegistry collect_run_metrics(const PipelineReport& report) {
                       report.exec.channel_scans_requested);
   metrics.add_counter("channel_scans_unique",
                       report.exec.channel_scans_unique);
-  metrics.add_counter("stem_cache_hits", report.exec.stem_cache_hits);
-  metrics.add_counter("stem_cache_misses", report.exec.stem_cache_misses);
   metrics.add_counter("stems_skipped", report.exec.stems_skipped);
   metrics.add_counter("tensor_allocs", report.exec.tensor_allocs);
   metrics.add_counter("plan_cache_hits", report.exec.plan_cache_hits);

@@ -10,31 +10,31 @@
 // holds a modeled-ms/frame target through λ_L, and when both run their
 // weights are composed priority-ordered (compose_control_weights).
 //
-// Each window executes in two phases over the exec layer:
-//   A) *select* — frames are grouped by sequence (so the TemporalStemCache
-//      sees each sequence's frames in order) and Algorithm 1 steps 1–4 run
-//      per frame against a FrameWorkspace;
-//   B) *execute* — one finish task per frame runs its selected
-//      configuration φ*: the channel scans of φ*'s branches (a channel
-//      shared by several branches is scanned once per frame; see
-//      exec/channel_scan_cache.hpp), then merge/fusion/loss/accounting.
-// Results are bitwise identical with caching and channel-scan sharing on
-// or off, and with any worker count (the scan counters' unique/requested
-// split is the one field that legitimately moves with the sharing toggle).
+// Each frame of a window runs as one pool task over the exec layer, the
+// way Algorithm 1 treats one frame: a task-local FrameWorkspace over the
+// frame's slot arena, the stems and the gate (when the gate reads F, the
+// stem pass writes F straight into the arena), the joint optimisation, and
+// then the selected configuration φ*: the channel scans of φ*'s branches
+// (a channel shared by several branches is scanned once per frame; see
+// exec/channel_scan_cache.hpp), merge, fusion, loss and accounting.
+// Results are bitwise identical with channel-scan sharing on or off, and
+// with any worker count (the scan counters' unique/requested split is the
+// one field that legitimately moves with the sharing toggle).
 //
 // Windows are dispatched through per-window dependency tracking, not pool-wide
-// barriers (PR 8): each in-flight window owns two completion events —
-// select_done (every phase-A lane finished; the last lane submits the window's
-// finish tasks, in slot order, as a continuation) and window_done (every frame
-// finished). The driver only ever blocks on those events at the stream-order
-// commit point, so with no controller configured, window W+1's phase A overlaps
-// window W's phase B (two windows in flight over ping-ponged slot sets). With a
-// budget/deadline controller the depth drops to 1 — λ(W+1) genuinely depends on
-// window W's fold — but even then the stream pull of W+1 overlaps W's execution
-// and the two pool-wide barriers per window are gone.
+// barriers: each in-flight window owns one completion event, window_done,
+// which every frame task counts down. The driver only ever blocks on it at
+// the stream-order commit point, so with no controller configured, window
+// W+1's frames run alongside window W's (two windows in flight over
+// ping-ponged slot sets). With a budget/deadline controller the depth drops
+// to 1 — λ(W+1) genuinely depends on window W's fold — but even then the
+// stream pull of W+1 overlaps W's execution.
 // PipelineConfig::pipeline_windows = false forces depth 1; the slot topology
-// does NOT change with the toggle (see stem_cache_sequences note), so reports
-// stay bitwise identical across it.
+// does NOT change with the toggle, so reports stay bitwise identical across
+// it.
+//
+// A frame task that throws records the first exception; the driver then
+// stops dispatching, waits out the windows in flight, and run() rethrows it.
 //
 // The pipeline can run on a pool it owns (run/2) or as one client of a
 // shared pool (run/3): the sharded front-end (runtime/shard.hpp) drives one
@@ -48,16 +48,13 @@
 // pipeline config, gate factory). The worker count (and pool sharing) changes
 // only wall-clock throughput. This holds because (a) stream order is
 // timing-independent, (b) per-frame work is independent given the window
-// weights (a finish task reads and writes only its own slot, so the order
-// finishes run in is unobservable), (c) weights only change at window barriers
+// weights (a frame task reads and writes only its own slot, so the order
+// frames run in is unobservable), (c) weights only change at window barriers
 // from window aggregates accumulated in stream order (the deadline loop
-// observes *modeled* latency, never wall-clock), (d) final reduction runs in
-// stream order on one thread, and (e) stem cache hits depend only on sequence
-// grouping, which is fixed by the stream order — window W+1's phase A is
-// chained behind window W's select_done event, so per-sequence cache refreshes
-// stay sequential and retain() arguments are pure stream-order functions even
-// when windows overlap. Wall-clock fields (wall_seconds, frames_per_second,
-// FrameStats::wall_ms, mean_wall_ms) are explicitly outside the contract.
+// observes *modeled* latency, never wall-clock), and (d) final reduction runs
+// in stream order on one thread. Wall-clock fields (wall_seconds,
+// frames_per_second, FrameStats::wall_ms, mean_wall_ms) are explicitly
+// outside the contract.
 // tests/runtime_test.cpp and tests/shard_test.cpp pin the contract bitwise.
 #pragma once
 
@@ -102,18 +99,10 @@ struct PipelineConfig {
   /// report, for downstream aggregation such as the sharded merge (costs
   /// memory proportional to the stream; disable for unbounded streams).
   bool keep_frame_results = true;
-  /// Reuse/delta-refresh stem features across frames of one sequence
-  /// (bitwise-invisible; see exec/stem_cache.hpp).
-  bool temporal_stem_cache = true;
   /// Share channel scans across branches within a frame (bitwise-invisible;
   /// see exec/channel_scan_cache.hpp). Off = every branch re-scans its own
   /// channels — the verification path the CI bench smoke pins against.
   bool share_channel_scans = true;
-  /// Minimum sequence entries the temporal stem cache may hold. The
-  /// pipeline sizes the cache to at least 2×window and prunes it
-  /// deterministically at every window barrier, so hit/miss counters stay
-  /// worker-count invariant for any value here.
-  std::size_t stem_cache_sequences = 64;
   /// Emit obs:: spans for every pipeline stage (requires an installed
   /// obs::Tracer; the bench traces one repetition). Spans only observe
   /// — reports are bitwise identical with tracing on or off, and with it
@@ -127,10 +116,10 @@ struct PipelineConfig {
   /// own setting). Scheduling only — reports are bitwise identical either
   /// way.
   bool steal = true;
-  /// Overlap window W+1's phase A with window W's phase B when no
-  /// controller creates a cross-window λ dependency. Scheduling only —
-  /// reports are bitwise identical either way (slot topology is fixed at
-  /// two ping-ponged sets regardless).
+  /// Overlap window W+1's frames with window W's when no controller
+  /// creates a cross-window λ dependency. Scheduling only — reports are
+  /// bitwise identical either way (slot topology is fixed at two
+  /// ping-ponged sets regardless).
   bool pipeline_windows = true;
 };
 
@@ -144,13 +133,15 @@ struct FrameStats {
   /// Modeled PX2 latency of the frame's pass (deterministic; used by every
   /// latency aggregate and by the deadline loop).
   double latency_ms = 0.0;
-  /// Measured wall-clock time of this frame's phase-B finish task.
-  /// Observability only — NOT covered by determinism.
+  /// Measured wall-clock time of the frame task's run_selected +
+  /// accounting stretch (the finish_frame span) only: it leaves out the
+  /// workspace construction, the stems and the gate. Observability only —
+  /// NOT covered by determinism.
   double wall_ms = 0.0;
   float lambda_energy = 0.0f;   // λ_E in force for this frame
   float lambda_latency = 0.0f;  // λ_L in force for this frame
   std::size_t detections = 0;
-  /// How this frame's stem features were obtained.
+  /// Whether a gate read F (kComputed) or the stems never ran (kSkipped).
   exec::StemSource stem_source = exec::StemSource::kSkipped;
   /// Branch executions attributed to this frame (reuse is free).
   std::size_t branch_runs = 0;
@@ -161,20 +152,19 @@ struct FrameStats {
   std::size_t channel_scans_requested = 0;
   std::size_t channel_scans_unique = 0;
   /// Tensor-buffer heap allocations attributed to this frame's execution
-  /// (tensor::tensor_alloc_count deltas over the frame's selection and
-  /// finish stretches). Frames through a warmed slot
-  /// arena report 0 — the first window through each slot set pays the
-  /// warm-up. The pipeline keeps two ping-ponged slot sets (window index
-  /// parity) so pipelined windows never share live slots; the first TWO
-  /// windows per shard are therefore the warm-up stretch, independent of
-  /// every scheduling toggle.
+  /// (the tensor::tensor_alloc_count delta over the frame task). Frames
+  /// through a warmed slot arena report 0 — the first window through each
+  /// slot set pays the warm-up. The pipeline keeps two ping-ponged slot
+  /// sets (window index parity) so pipelined windows never share live
+  /// slots; the first TWO windows per shard are therefore the warm-up
+  /// stretch, independent of every scheduling toggle.
   /// Deterministic for a fixed shard count; warm-up attribution shifts with
   /// shard count (different slot histories), so it is intentionally not
   /// part of the cross-shard invariance comparisons.
   std::size_t tensor_allocs = 0;
   /// Process-wide scan-plan cache lookups attributed to this frame's
   /// execution (thread-local tensor::plan_cache counter deltas over the
-  /// same stretches as tensor_allocs). Which frame pays a miss depends on
+  /// same stretch as tensor_allocs). Which frame pays a miss depends on
   /// scheduling, so — like tensor_allocs — these stay out of the bitwise
   /// cross-shard comparisons; plan_cache_test's
   /// PlanCacheTest.ThreadLocalCountersTrackHitsAndMisses pins the counters.
@@ -188,9 +178,12 @@ struct FrameStats {
 /// Execution-layer counters for one run (all deterministic).
 struct ExecCounters {
   std::size_t stems_skipped = 0;     // no gate pulled F for the frame
-  std::size_t stems_computed = 0;    // F computed without a temporal cache
-  std::size_t stem_cache_hits = 0;   // F resolved against cached sequence state
-  std::size_t stem_cache_misses = 0; // F recomputed + stored (new sequence)
+  std::size_t stems_computed = 0;    // a gate read F; the stems ran
+  /// Always 0: the pipeline computes F directly on every frame. Kept only
+  /// because perfbench/driver/workloads.cpp reads them for
+  /// stems.cache_hit_ratio; a [benchmark] change retires them.
+  std::size_t stem_cache_hits = 0;
+  std::size_t stem_cache_misses = 0;
   std::size_t branch_runs = 0;       // total branch executions
   std::size_t channel_scans_requested = 0;  // channel scans consumed
   std::size_t channel_scans_unique = 0;     // channel scans executed
@@ -218,8 +211,6 @@ struct SceneReport {
   double mean_energy_j = 0.0;
   double mean_latency_ms = 0.0;
   double map = 0.0;  // 0 when keep_frame_results is off
-  std::size_t stem_cache_hits = 0;
-  std::size_t stem_cache_misses = 0;
 };
 
 /// One contributing pipeline's per-window control trajectory. A single

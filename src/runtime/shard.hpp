@@ -3,12 +3,15 @@
 // A ShardedPipeline partitions a stream's sequences across N engine shards
 // with the deterministic shard_of() hash (runtime/stream.hpp). Each shard
 // is a full vertical slice of the runtime: its own EcoFusionEngine, its
-// own StreamingPipeline with workspace slots, TemporalStemCache and
-// closed-loop λ_E/λ_L controllers — all driving frames through ONE shared
-// work-stealing worker pool. A shard's window boundaries wait on its
-// private per-window completion events, so shards interleave freely on the
-// pool: while one shard's driver folds a finished window, the other shards'
-// tasks keep the workers fed (and idle workers steal across shards).
+// own StreamingPipeline with window slots (one arena per slot) and
+// closed-loop λ_E/λ_L controllers — all driving frames, one pool task per
+// frame, through ONE shared work-stealing worker pool. A shard's window
+// boundaries wait on its private per-window completion events, so shards
+// interleave freely on the pool: while one shard's driver folds a finished
+// window, the other shards' frame tasks keep the workers fed (and idle
+// workers steal across shards). A frame task that throws ends its shard's
+// run with that exception; the other shards finish, and run() rethrows the
+// lowest-numbered failed shard's error after every driver joined.
 //
 // The per-shard reports are merged into a single PipelineReport that is
 // *bitwise identical for any shard count and worker count* whenever the

@@ -199,7 +199,7 @@ class TaskGroup {
 
 /// A one-shot (but resettable) countdown: reset(n), n count_down() calls,
 /// wait() returns. Used by the pipeline for per-window dependency tracking
-/// (phase-A-done and window-done events) in place of pool-wide barriers.
+/// (one window-done event per window) in place of pool-wide barriers.
 /// Non-final count_down() calls are a single lock-free decrement; only the
 /// releasing call takes the mutex.
 ///
@@ -339,8 +339,8 @@ struct SchedulerStats {
   std::uint64_t parks = 0;             ///< times a worker blocked for work
   std::uint64_t queue_wait_ns = 0;     ///< summed worker idle-wait time
   /// Filled by the pipeline (not the pool): driver time blocked on window
-  /// completion events, and windows whose phase A overlapped the previous
-  /// window's phase B.
+  /// completion events, and windows dispatched while the previous window
+  /// was still in flight.
   std::uint64_t barrier_wait_ns = 0;
   std::uint64_t windows_pipelined = 0;
   /// Filled by the pipeline from FrameStream: consumer pops that blocked on

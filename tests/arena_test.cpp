@@ -133,7 +133,7 @@ TEST(FrameArenaTest, ArenaBackedGateFeaturesAreBitwiseExact) {
 
 // Pipeline-level contract: after the first TWO control windows warm the
 // ping-ponged slot sets (the window-pipelined scheduler keeps 2x window
-// slots so phase A of window W+1 can overlap phase B of window W), every
+// slots so window W+1's frame tasks can overlap window W's), every
 // frame reports tensor_allocs == 0; the counters are worker-count invariant
 // and survive finalize_report's re-reduction.
 TEST(PipelineArenaTest, SteadyStateFramesReportZeroAllocs) {

@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "exec/workspace.hpp"
 #include "gating/knowledge_gate.hpp"
 #include "gating/learned_gate.hpp"
 #include "gating/loss_gate.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/pipeline.hpp"
+#include "runtime/shard.hpp"
 #include "runtime/stream.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -38,8 +42,8 @@ GateFactory oracle_factory() {
 }
 
 // An (untrained) Deep gate: deterministic fixed-seed weights, and — unlike
-// the knowledge/oracle gates — it actually pulls the stem features F, so it
-// exercises the temporal stem cache.
+// the knowledge/oracle gates — it actually pulls the stem features F, so the
+// stems run on every frame.
 GateFactory deep_factory() {
   return [] {
     gating::LearnedGateConfig config;
@@ -467,23 +471,8 @@ TEST(StreamingPipelineTest, BudgetAndDeadlineControllersCompose) {
   }
 }
 
-PipelineReport run_pipeline_exec(std::size_t workers, const GateFactory& gates,
-                                 bool cache) {
-  PipelineConfig config;
-  config.workers = workers;
-  config.window = 16;
-  config.joint.gamma = 2.0f;
-  config.temporal_stem_cache = cache;
-  StreamingPipeline pipeline(engine(), config);
-  FrameStream stream(small_stream());
-  return pipeline.run(stream, gates);
-}
-
 /// Bitwise equality of everything the determinism contract covers.
-/// `compare_stem_source` is off when comparing cache-on vs cache-off runs
-/// (the cache changes *how* F was obtained, never its value).
-void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
-                          bool compare_stem_source) {
+void expect_reports_equal(const PipelineReport& a, const PipelineReport& b) {
   ASSERT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);
   EXPECT_EQ(a.mean_energy_j, b.mean_energy_j);
@@ -517,9 +506,7 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
     EXPECT_EQ(x.branch_runs, y.branch_runs);
     EXPECT_EQ(x.channel_scans_requested, y.channel_scans_requested);
     EXPECT_EQ(x.channel_scans_unique, y.channel_scans_unique);
-    if (compare_stem_source) {
-      EXPECT_EQ(x.stem_source, y.stem_source);
-    }
+    EXPECT_EQ(x.stem_source, y.stem_source);
   }
   ASSERT_EQ(a.per_scene.size(), b.per_scene.size());
   for (std::size_t s = 0; s < a.per_scene.size(); ++s) {
@@ -528,66 +515,25 @@ void expect_reports_equal(const PipelineReport& a, const PipelineReport& b,
     EXPECT_EQ(a.per_scene[s].mean_loss, b.per_scene[s].mean_loss);
     EXPECT_EQ(a.per_scene[s].mean_energy_j, b.per_scene[s].mean_energy_j);
     EXPECT_EQ(a.per_scene[s].map, b.per_scene[s].map);
-    if (compare_stem_source) {
-      EXPECT_EQ(a.per_scene[s].stem_cache_hits, b.per_scene[s].stem_cache_hits);
-      EXPECT_EQ(a.per_scene[s].stem_cache_misses,
-                b.per_scene[s].stem_cache_misses);
-    }
   }
   EXPECT_EQ(a.exec.branch_runs, b.exec.branch_runs);
   EXPECT_EQ(a.exec.channel_scans_requested, b.exec.channel_scans_requested);
   EXPECT_EQ(a.exec.channel_scans_unique, b.exec.channel_scans_unique);
-  if (compare_stem_source) {
-    EXPECT_EQ(a.exec.stems_skipped, b.exec.stems_skipped);
-    EXPECT_EQ(a.exec.stems_computed, b.exec.stems_computed);
-    EXPECT_EQ(a.exec.stem_cache_hits, b.exec.stem_cache_hits);
-    EXPECT_EQ(a.exec.stem_cache_misses, b.exec.stem_cache_misses);
-  }
+  EXPECT_EQ(a.exec.stems_skipped, b.exec.stems_skipped);
+  EXPECT_EQ(a.exec.stems_computed, b.exec.stems_computed);
+  EXPECT_EQ(a.exec.stem_cache_hits, b.exec.stem_cache_hits);
+  EXPECT_EQ(a.exec.stem_cache_misses, b.exec.stem_cache_misses);
 }
 
-// The temporal stem cache is a pure optimization: reports with it on and
-// off are bitwise identical (a Deep gate pulls F every frame, so the cache
-// is genuinely on the path here).
-TEST(StreamingPipelineTest, StemCacheOnOffReportsBitwiseIdentical) {
-  const PipelineReport off =
-      run_pipeline_exec(2, deep_factory(), /*cache=*/false);
-  const PipelineReport on =
-      run_pipeline_exec(2, deep_factory(), /*cache=*/true);
-  expect_reports_equal(off, on, /*compare_stem_source=*/false);
-  // And the cache really engaged: one miss per sequence, hits elsewhere.
-  EXPECT_EQ(on.exec.stem_cache_misses, dataset::kNumSceneTypes);
-  EXPECT_EQ(on.exec.stem_cache_hits, on.frames - dataset::kNumSceneTypes);
-  EXPECT_EQ(off.exec.stems_computed, off.frames);
-}
-
-// 1-vs-N worker determinism with the stem cache enabled, including every
-// exec counter.
-TEST(StreamingPipelineTest, DeterministicAcrossWorkersWithStemCache) {
-  const PipelineReport one =
-      run_pipeline_exec(1, deep_factory(), /*cache=*/true);
-  const PipelineReport four =
-      run_pipeline_exec(4, deep_factory(), /*cache=*/true);
-  expect_reports_equal(one, four, /*compare_stem_source=*/true);
-}
-
-// Even with a stem-cache capacity far below the live sequence count,
-// eviction stays deterministic (it happens at window barriers, from stream
-// order alone) — counters must not depend on worker timing.
-TEST(StreamingPipelineTest, TinyStemCacheStaysDeterministic) {
-  auto run = [](std::size_t workers) {
-    PipelineConfig config;
-    config.workers = workers;
-    config.window = 16;
-    config.joint.gamma = 2.0f;
-    config.stem_cache_sequences = 1;  // pipeline floors this at 2x window
-    StreamingPipeline pipeline(engine(), config);
-    FrameStream stream(small_stream());
-    return pipeline.run(stream, deep_factory());
-  };
-  const PipelineReport one = run(1);
-  const PipelineReport four = run(4);
-  expect_reports_equal(one, four, /*compare_stem_source=*/true);
-  EXPECT_GT(one.exec.stem_cache_hits, 0u);
+// 1-vs-N worker determinism with a gate that reads F, including every exec
+// counter: the stems run on every frame, and no frame touches a stem cache.
+TEST(StreamingPipelineTest, DeepGateDeterministicAcrossWorkers) {
+  const PipelineReport one = run_pipeline(1, deep_factory());
+  const PipelineReport four = run_pipeline(4, deep_factory());
+  expect_reports_equal(one, four);
+  EXPECT_EQ(one.exec.stems_computed, one.frames);
+  EXPECT_EQ(one.exec.stem_cache_hits, 0u);
+  EXPECT_EQ(one.exec.stem_cache_misses, 0u);
 }
 
 // Window shapes other than 16 frames over 8 lanes: single-frame windows,
@@ -626,14 +572,13 @@ TEST(StreamingPipelineTest, OtherWindowShapesStayDeterministic) {
       EXPECT_EQ(one.frames, frames);
       EXPECT_EQ(one.lambda_trace.size(),
                 (frames + shape.window - 1) / shape.window);
-      expect_reports_equal(one, four, /*compare_stem_source=*/true);
+      expect_reports_equal(one, four);
     }
   }
 }
 
 TEST(StreamingPipelineTest, ExecCountersAreConsistent) {
-  const PipelineReport report =
-      run_pipeline_exec(2, knowledge_factory(), /*cache=*/true);
+  const PipelineReport report = run_pipeline(2, knowledge_factory());
   ASSERT_GT(report.frames, 0u);
   // The knowledge gate never pulls F: stems skipped on every frame.
   EXPECT_EQ(report.exec.stems_skipped, report.frames);
@@ -644,6 +589,174 @@ TEST(StreamingPipelineTest, ExecCountersAreConsistent) {
   EXPECT_EQ(report.exec.mean_batch, 1.0);
   for (const FrameStats& stats : report.frame_stats) {
     EXPECT_GT(stats.branch_runs, 0u);
+  }
+}
+
+// The pipeline against a one-frame-at-a-time replay on this thread: every
+// frame through a fresh FrameWorkspace, select_adaptive and run_selected,
+// with the budget loop folded once per window the way the pipeline folds
+// it. Deep gate, at 1 and 4 workers, with no controller and under a
+// BudgetController.
+TEST(StreamingPipelineTest, MatchesSequentialReplay) {
+  const std::size_t window = 16;
+  for (const bool with_budget : {false, true}) {
+    const std::optional<BudgetConfig> budget =
+        with_budget ? std::optional<BudgetConfig>(BudgetConfig{})
+                    : std::nullopt;
+    PipelineConfig config;
+    config.joint.gamma = 2.0f;  // as run_pipeline
+    StreamConfig stream_config = small_stream();
+    stream_config.prefetch = 0;
+    FrameStream stream(stream_config);
+    BudgetController controller(budget.value_or(BudgetConfig{}));
+    const std::unique_ptr<gating::Gate> gate = deep_factory()();
+    std::vector<FrameStats> expected;
+    std::vector<StreamFrame> frames;
+    for (;;) {
+      frames.clear();
+      while (frames.size() < window) {
+        std::optional<StreamFrame> frame = stream.next();
+        if (!frame) break;
+        frames.push_back(std::move(*frame));
+      }
+      if (frames.empty()) break;
+      core::JointOptParams params = config.joint;
+      const auto [lambda_energy, lambda_latency] = compose_control_weights(
+          budget ? controller.lambda() : config.joint.lambda_energy,
+          config.joint.lambda_latency, config.priority);
+      params.lambda_energy = lambda_energy;
+      params.lambda_latency = lambda_latency;
+      double window_energy = 0.0;
+      for (const StreamFrame& sf : frames) {
+        exec::FrameWorkspace ws(engine(), sf.frame);
+        const std::size_t selection =
+            engine().select_adaptive(ws, *gate, params).config_index;
+        const core::RunResult run =
+            engine().run_selected(ws, selection, gate->complexity());
+        FrameStats stats;
+        stats.config_index = run.config_index;
+        stats.loss = run.loss.total();
+        stats.energy_j = run.energy_j;
+        stats.latency_ms = run.latency_ms;
+        stats.lambda_energy = params.lambda_energy;
+        stats.detections = run.detections.size();
+        expected.push_back(stats);
+        window_energy += run.energy_j;
+      }
+      if (budget) {
+        controller.observe(window_energy /
+                           static_cast<double>(frames.size()));
+      }
+    }
+    ASSERT_FALSE(expected.empty());
+    if (budget) {  // the loop really moved λ_E between windows
+      EXPECT_NE(expected.front().lambda_energy, expected.back().lambda_energy);
+    }
+
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("budget " + std::to_string(with_budget) + ", workers " +
+                   std::to_string(workers));
+      const PipelineReport report =
+          run_pipeline(workers, deep_factory(), budget);
+      ASSERT_EQ(report.frame_stats.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        const FrameStats& got = report.frame_stats[i];
+        const FrameStats& want = expected[i];
+        EXPECT_EQ(got.stream_index, i);
+        EXPECT_EQ(got.config_index, want.config_index) << "frame " << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got.loss),
+                  std::bit_cast<std::uint32_t>(want.loss))
+            << "frame " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.energy_j),
+                  std::bit_cast<std::uint64_t>(want.energy_j))
+            << "frame " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.latency_ms),
+                  std::bit_cast<std::uint64_t>(want.latency_ms))
+            << "frame " << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got.lambda_energy),
+                  std::bit_cast<std::uint32_t>(want.lambda_energy))
+            << "frame " << i;
+        EXPECT_EQ(got.detections, want.detections) << "frame " << i;
+      }
+    }
+  }
+}
+
+// Defers to the Knowledge gate, except that the k-th predict_losses call
+// counted across every instance sharing `calls` throws.
+class ThrowingGate final : public gating::Gate {
+ public:
+  ThrowingGate(std::atomic<std::size_t>& calls, std::size_t k)
+      : inner_(engine().default_knowledge_table(),
+               engine().config_space().size()),
+        calls_(calls),
+        k_(k) {}
+
+  std::vector<float> predict_losses(const gating::GateInput& input) override {
+    if (calls_.fetch_add(1) + 1 == k_) {
+      throw std::runtime_error("gate call " + std::to_string(k_));
+    }
+    return inner_.predict_losses(input);
+  }
+  [[nodiscard]] std::string name() const override { return "Throwing"; }
+  [[nodiscard]] energy::GateComplexity complexity() const override {
+    return inner_.complexity();
+  }
+  [[nodiscard]] bool tunable() const override { return inner_.tunable(); }
+
+ private:
+  gating::KnowledgeGate inner_;
+  std::atomic<std::size_t>& calls_;
+  std::size_t k_;
+};
+
+// An exception from one frame's task reaches the caller of run() instead
+// of terminating the process on a pool worker: on the first frame, in a
+// middle window, and on the stream's last frame (found only by the final
+// drain), at 1 and 4 workers, with two windows in flight and at depth 1
+// under a BudgetController — and from ShardedPipeline::run at 2 shards,
+// whose gates share one call counter.
+TEST(StreamingPipelineTest, FrameTaskErrorReachesTheCaller) {
+  const auto expect_gate_error = [](std::size_t k, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "run() returned";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "gate call " + std::to_string(k));
+    }
+  };
+  const std::size_t frames =
+      dataset::kNumSceneTypes * small_stream().sequence.length;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{20}, frames}) {
+    for (const bool budget : {false, true}) {
+      for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE("call " + std::to_string(k) + ", budget " +
+                     std::to_string(budget) + ", workers " +
+                     std::to_string(workers));
+        std::atomic<std::size_t> calls{0};
+        const GateFactory gates = [&calls, k] {
+          return std::make_unique<ThrowingGate>(calls, k);
+        };
+        expect_gate_error(k, [&] {
+          (void)run_pipeline(workers, gates,
+                             budget ? std::optional<BudgetConfig>(
+                                          BudgetConfig{})
+                                    : std::nullopt);
+        });
+      }
+    }
+  }
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("2 shards, workers " + std::to_string(workers));
+    std::atomic<std::size_t> calls{0};
+    ShardedConfig config;
+    config.shards = 2;
+    config.pipeline.workers = workers;
+    const ShardedPipeline pipeline(config);
+    const ShardGateFactory gates = [&calls](const core::EcoFusionEngine&) {
+      return std::make_unique<ThrowingGate>(calls, 20);
+    };
+    expect_gate_error(20, [&] { (void)pipeline.run(small_stream(), gates); });
   }
 }
 

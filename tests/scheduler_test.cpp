@@ -28,9 +28,8 @@ const core::EcoFusionEngine& engine() {
   return instance;
 }
 
-// A Deep gate pulls the stem features F, so these runs exercise the
-// temporal stem cache — the part of phase A most sensitive to scheduling
-// order (per-sequence refreshes must stay sequential in stream order).
+// A Deep gate pulls the stem features F, so these runs put the stems and
+// gate inference on every frame task.
 GateFactory deep_factory() {
   return [] {
     gating::LearnedGateConfig config;
@@ -82,10 +81,10 @@ ShardedReport run_sharded(std::size_t shards, std::size_t workers,
 /// Bitwise equality of everything the determinism contract covers. Alloc
 /// ATTRIBUTION (per-frame tensor_allocs, zero_alloc_frames) is deliberately
 /// not pinned here: a Deep gate lazily allocates its buffers on first use,
-/// and lanes bind to per-WORKER gate instances, so which frame absorbs a
-/// gate's warm-up depends on scheduling. arena_test pins alloc invariance
-/// with a non-allocating gate, where the 2x ping-ponged slot topology makes
-/// the counters a pure function of stream order.
+/// and frame tasks bind to per-WORKER gate instances, so which frame
+/// absorbs a gate's warm-up depends on scheduling. arena_test pins alloc
+/// invariance with a non-allocating gate, where the 2x ping-ponged slot
+/// topology makes the counters a pure function of stream order.
 void expect_reports_identical(const PipelineReport& a,
                               const PipelineReport& b) {
   ASSERT_EQ(a.frames, b.frames);
@@ -400,7 +399,9 @@ TEST(SchedulerDeterminismTest, ShardedMergesAreToggleInvariant) {
 TEST(SchedulerDeterminismTest, PipelineSubmissionsAreAllInline) {
   const PipelineReport report =
       run_pipeline(/*workers=*/4, /*steal=*/true, /*pipelined=*/true);
-  EXPECT_GT(report.scheduler.tasks_executed, 0u);
+  // One task per frame, plus one generation task per stream sequence.
+  EXPECT_EQ(report.scheduler.tasks_executed,
+            report.frames + dataset::kNumSceneTypes);
   EXPECT_EQ(report.scheduler.tasks_heap, 0u);
   EXPECT_EQ(report.scheduler.tasks_inlined, report.scheduler.tasks_executed);
 }
